@@ -1,10 +1,11 @@
 """Plain-text key/value configuration.
 
 Files hold one ``key = value`` assignment per line with ``#`` comments and
-dotted keys for grouping (``grid.n = 128``).  Values are parsed as bool
-(``true``/``false``), int, float, or string, in that order; strings that
-would re-parse as something else are serialized with double quotes so a
-config round-trips losslessly.  The canonical serialization (sorted keys)
+dotted keys for grouping (``grid.n = 128``).  A ``#`` inside double quotes
+belongs to the value.  Values are parsed as bool (``true``/``false``), int,
+float, or string, in that order; strings that would re-parse as something
+else, or that contain ``#``, are serialized with double quotes so a config
+round-trips losslessly.  The canonical serialization (sorted keys)
 feeds a sha256 hash recorded in experiment metadata.
 """
 
@@ -39,25 +40,32 @@ def parse_value(text: str):
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return repr(value)
     text = str(value)
     if "\n" in text or '"' in text:
         raise ConfigError(f"string value {text!r} cannot be serialized")
-    # quote anything that would re-parse as a number or bool
-    if text != str(parse_value(text)) or not isinstance(parse_value(text), str):
-        return f'"{text}"'
-    if text.strip() != text or text == "":
+    # quote anything that would re-parse as something else (a number, a bool,
+    # stripped text) or be cut at a comment
+    if parse_value(text) != text or text == "" or "#" in text:
         return f'"{text}"'
     return text
+
+
+def _strip_comment(line: str) -> str:
+    """Cut the line at its first ``#`` outside double quotes."""
+    quoted = False
+    for i, ch in enumerate(line):
+        quoted ^= ch == '"'
+        if ch == "#" and not quoted:
+            return line[:i]
+    return line
 
 
 def parse_config_text(text: str) -> dict:
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:

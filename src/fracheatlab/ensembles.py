@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, _conjugate_partner
 from .rng import make_generator
 
 __all__ = [
@@ -23,16 +23,9 @@ __all__ = [
 ]
 
 
-def _partner_slices(grid: GridSpec):
-    partner = np.roll(np.arange(grid.n)[::-1], 1)
-    if grid.dim == 1:
-        return partner
-    return np.ix_(partner, partner)
-
-
 def hermitian_symmetrize(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Project coefficients onto the subspace of real physical fields."""
-    return 0.5 * (coeffs + np.conj(coeffs[_partner_slices(grid)]))
+    return 0.5 * (coeffs + np.conj(coeffs[_conjugate_partner(grid)]))
 
 
 def single_mode(grid: GridSpec, m, amplitude: complex = 1.0) -> SpectralField:

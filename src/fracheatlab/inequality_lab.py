@@ -22,12 +22,12 @@ computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
 
 import numpy as np
 import scipy.linalg
 
 from .spectral import GridSpec, SpectralField
+from .norms import _alpha_factorial, _multi_indices, _spectral_derivatives
 from .norms import l2_norm, restricted_l2
 from .solver import simulate
 
@@ -689,8 +689,6 @@ def cell_taylor_suprema(
             f"cube side {scale} must be a whole number of grid cells dividing n"
         )
     blocks = grid.n // m
-    samples = np.asarray(field_samples, dtype=float)
-    hat0 = np.fft.fftn(samples)
 
     def windows(arr):
         """Max of |arr| over the double cube around each cell."""
@@ -705,17 +703,9 @@ def cell_taylor_suprema(
         return out
 
     best = np.zeros((blocks,) * grid.dim)
-    for order in range(alpha_max + 1):
-        if grid.dim == 1:
-            alphas = [(order,)]
-        else:
-            alphas = [(order - j, j) for j in range(order + 1)]
-        for alpha in alphas:
-            hat = hat0
-            for a_j, k_j in zip(alpha, grid.k_axes):
-                if a_j:
-                    hat = hat * (1j * k_j) ** a_j
-            deriv = np.fft.ifftn(hat).real
-            weight = sigma**order / float(prod(factorial(a_j) for a_j in alpha))
-            best = np.maximum(best, weight * windows(deriv))
+    alphas = _multi_indices(grid.dim, alpha_max)
+    derivs = _spectral_derivatives(grid, field_samples, alphas)
+    for alpha, deriv in zip(alphas, derivs):
+        weight = sigma ** sum(alpha) / _alpha_factorial(alpha)
+        best = np.maximum(best, weight * windows(deriv))
     return best.ravel()

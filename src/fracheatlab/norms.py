@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .spectral import GridSpec, SpectralField, inverse
 
@@ -151,23 +150,44 @@ def strip_sup_norm(field: SpectralField, sigma: float, y_samples: int = 64) -> f
     return float(np.sqrt(best))
 
 
-def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha) -> float:
-    """Grid sup norm of the spectral derivative d^alpha of real samples."""
-    alpha = tuple(np.atleast_1d(alpha).astype(int))
-    if len(alpha) != grid.dim:
-        raise ValueError(f"alpha must have {grid.dim} components, got {alpha}")
-    hat = np.fft.fftn(np.asarray(samples, dtype=float))
-    for ax, (a_j, k_j) in enumerate(zip(alpha, grid.k_axes)):
-        if a_j:
-            hat = hat * (1j * k_j) ** a_j
-    deriv = np.fft.ifftn(hat).real
-    return float(np.max(np.abs(deriv)))
-
-
-def _total_order_multi_indices(dim: int, order: int):
+def _multi_indices(dim: int, alpha_max: int) -> list:
+    """Every multi-index with |alpha| <= alpha_max, by total order and, in 2D,
+    by decreasing first component within an order."""
     if dim == 1:
-        return [(order,)]
-    return [(order - j, j) for j in range(order + 1)]
+        return [(order,) for order in range(alpha_max + 1)]
+    return [(order - j, j) for order in range(alpha_max + 1) for j in range(order + 1)]
+
+
+def _alpha_factorial(alpha) -> float:
+    return float(prod(factorial(a_j) for a_j in alpha))
+
+
+def _spectral_derivatives(grid: GridSpec, samples: np.ndarray, alphas):
+    """Yield the real spectral derivative d^alpha of the samples for each
+    alpha in turn, all from one forward transform."""
+    hat0 = np.fft.fftn(np.asarray(samples, dtype=float))
+    for alpha in alphas:
+        hat = hat0
+        for a_j, k_j in zip(alpha, grid.k_axes):
+            if a_j:
+                hat = hat * (1j * k_j) ** a_j
+        yield np.fft.ifftn(hat).real
+
+
+def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
+    """Grid sup norm of the spectral derivative d^alpha of real samples.
+
+    ``alpha`` is one multi-index, giving a float, or an (m, dim) array of
+    them, giving an array of m sups computed from a single forward transform
+    with the same arithmetic as m separate calls.
+    """
+    batched = np.ndim(alpha) == 2
+    alphas = np.atleast_2d(np.asarray(alpha).astype(int))
+    if alphas.ndim > 2 or alphas.shape[1] != grid.dim:
+        raise ValueError(f"alpha must have {grid.dim} components, got {alpha}")
+    derivs = _spectral_derivatives(grid, samples, alphas)
+    sups = np.array([float(np.max(np.abs(deriv))) for deriv in derivs])
+    return sups if batched else float(sups[0])
 
 
 def asigma_order_sums(a, t: float, sigma: float, alpha_max: int | None = None) -> np.ndarray:
@@ -184,20 +204,12 @@ def asigma_order_sums(a, t: float, sigma: float, alpha_max: int | None = None) -
         raise ValueError(f"alpha_max must be nonnegative, got {alpha_max}")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    samples = np.asarray(a.sample(t), dtype=float)
-    hat0 = np.fft.fftn(samples)
+    alphas = _multi_indices(grid.dim, alpha_max)
+    sups = derivative_sup(grid, a.sample(t), alphas)
     sums = np.zeros(alpha_max + 1)
-    for order in range(alpha_max + 1):
-        total = 0.0
-        for alpha in _total_order_multi_indices(grid.dim, order):
-            hat = hat0
-            for a_j, k_j in zip(alpha, grid.k_axes):
-                if a_j:
-                    hat = hat * (1j * k_j) ** a_j
-            sup = float(np.max(np.abs(np.fft.ifftn(hat).real)))
-            coeff = sigma**order / float(prod(factorial(a_j) for a_j in alpha))
-            total += coeff * sup
-        sums[order] = total
+    for alpha, sup in zip(alphas, sups):
+        order = sum(alpha)
+        sums[order] += sigma**order / _alpha_factorial(alpha) * sup
     return sums
 
 
@@ -248,12 +260,10 @@ def smoothing_gain_constant(s: float) -> float:
     """sup over r >= 0 of exp(r - r^s), the uniform price of trading one
     semigroup application at time t for the analytic weight exp(t^(1/s)|k|).
 
-    Finite exactly when s > 1.  Computed numerically.
+    Finite exactly when s > 1, attained at r = s^(-1/(s-1)) where the value
+    is exp(r*(1 - 1/s)).
     """
     if not s > 1:
         raise ValueError(f"requires s > 1, got {s}")
-    res = minimize_scalar(
-        lambda r: -(r - r**s), bounds=(0.0, 10.0), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(np.exp(-(res.fun)))
+    r = s ** (-1.0 / (s - 1.0))
+    return float(np.exp(r * (1.0 - 1.0 / s)))

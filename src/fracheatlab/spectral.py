@@ -152,6 +152,12 @@ class SpectralField:
         return SpectralField(self.grid, coeffs)
 
 
+def _conjugate_partner(grid: GridSpec):
+    """Index sending each FFT index m to (-m) mod n on every axis."""
+    partner = np.roll(np.arange(grid.n)[::-1], 1)
+    return partner if grid.dim == 1 else np.ix_(partner, partner)
+
+
 def transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     """Forward transform of physical samples into a SpectralField.
 

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fracheatlab.config import (
     ConfigError,
@@ -21,6 +21,8 @@ from fracheatlab.config import (
     config_hash,
 )
 from fracheatlab.cli import main
+from fracheatlab.coefficients import builtin_coefficient, verify_class
+from fracheatlab.spectral import GridSpec
 
 
 FAST_SIM = [
@@ -92,6 +94,37 @@ def test_canonical_text_and_hash_are_stable():
     # insertion order must not matter
     assert config_hash(cfg) == config_hash(dict(reversed(list(cfg.items()))))
     assert config_hash(cfg) != config_hash({**cfg, "c": "y"})
+
+
+def test_hash_inside_quotes_is_not_a_comment():
+    cfg = parse_config_text('k = "a#b"  # trailing\nj = "#"\nm = 3 # c')
+    assert cfg == {"k": "a#b", "j": "#", "m": 3}
+
+
+def test_hash_in_string_is_quoted_on_output():
+    assert format_value("a#b") == '"a#b"'
+    assert canonical_text({"k": "a#b"}) == 'k = "a#b"\n'
+    assert parse_config_text(canonical_text({"k": "a#b"})) == {"k": "a#b"}
+
+
+# text without line breaks of any kind, which splitlines() would honour
+_line_values = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.text(
+        alphabet=st.characters(
+            blacklist_characters='"', blacklist_categories=("Cs", "Cc", "Zl", "Zp")
+        ),
+        max_size=40,
+    ),
+)
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b.c", "grid.n"]), _line_values))
+@example({"a": "x # y", "b.c": "#"})
+def test_canonical_text_roundtrip_generated(cfg):
+    assert parse_config_text(canonical_text(cfg)) == cfg
 
 
 def test_apply_overrides():
@@ -229,6 +262,21 @@ def test_class_verify(tmp_path):
     assert rc == 0
     rows = (out / "class_check.csv").read_text().strip().splitlines()
     assert rows[0].startswith("t,passed")
+
+
+def test_class_verify_rows_match_single_time_checks(tmp_path):
+    rc, out = _run(
+        tmp_path, "class-verify", "--set", "grid.n=32", "--set", "coeff.name=time_cosine",
+        "--set", "class.alpha_max=6", "--set", "class.t_values=0,0.7,0.7,2",
+    )
+    assert rc == 0
+    grid = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("time_cosine", grid, amplitude=0.5, mode=1)
+    expect = ["t,passed,worst_ratio,worst_alpha"]
+    for t in (0.0, 0.7, 0.7, 2.0):
+        rep = verify_class(a, alpha_max=6, t_grid=(t,))
+        expect.append(f"{t!r},{rep.passed},{rep.worst_ratio!r},{rep.worst_alpha[0]}")
+    assert (out / "class_check.csv").read_text().splitlines() == expect
 
 
 def test_config_errors_exit_1(tmp_path):

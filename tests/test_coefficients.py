@@ -129,6 +129,58 @@ def test_verify_class_tolerates_nyquist_noise():
     assert rep.passed, f"worst ratio {rep.worst_ratio} at alpha {rep.worst_alpha}"
 
 
+def test_verify_class_rows_match_single_time_calls():
+    """time_cosine changes with t, so every time is measured afresh and each
+    row must equal a separate single-time check."""
+    g = GridSpec(2, 32, 2 * np.pi)
+    a = builtin_coefficient("time_cosine", g, amplitude=0.4, mode=2, time_freq=1.3)
+    t_grid = (0.0, 0.5, 0.5, 1.0)
+    rep = verify_class(a, alpha_max=8, t_grid=t_grid)
+    assert len(rep.rows) == len(t_grid)
+    for t, row in zip(t_grid, rep.rows):
+        one = verify_class(a, alpha_max=8, t_grid=(t,))
+        assert row == (t, one.worst_ratio, one.worst_alpha)
+        assert one.rows == (row,)
+    worst = max(rep.rows, key=lambda row: row[1])
+    assert (rep.worst_t, rep.worst_ratio, rep.worst_alpha) == worst
+    assert rep.passed == all(row[1] <= 1.0 for row in rep.rows)
+
+
+def test_verify_class_reuses_identical_samples(monkeypatch):
+    g = GridSpec(2, 32, 2 * np.pi)
+    a = builtin_coefficient("fourier_decay", g, radius=1.5, seed=4)
+    expected = verify_class(a, alpha_max=6)
+    forward = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        forward.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    rep = verify_class(a, alpha_max=6, t_grid=(0.0, 0.5, 1.0, 1.5))
+    assert len(forward) == 1
+    assert rep.rows == tuple((t, expected.worst_ratio, expected.worst_alpha)
+                             for t in (0.0, 0.5, 1.0, 1.5))
+
+
+def test_verify_class_sees_a_buffer_refilled_in_place():
+    """An evaluator returning the same array each time, refilled in place,
+    must not be mistaken for a time-independent one."""
+    g = GridSpec(1, 64, 2 * np.pi)
+    x = g.x_axes[0]
+    buf = np.empty(64)
+
+    def evaluate(t):
+        buf[:] = np.cos(x) if t < 1.0 else np.cos(4 * x)
+        return buf
+
+    a = CoefficientField(g, evaluate, ClassA2(C=1.0, M=1.0, kappa=0.0))
+    rep = verify_class(a, alpha_max=4, t_grid=(0.0, 2.0))
+    assert rep.rows[0][1] <= 1.0 < rep.rows[1][1]
+    assert not rep.passed and rep.worst_t == 2.0
+
+
 def test_weight_transform_closed_forms():
     g = GridSpec(1, 64, 8.0)
     xc = g.x_centered_axes[0]

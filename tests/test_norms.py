@@ -126,6 +126,36 @@ def test_derivative_sup_exact_on_cosine():
     assert derivative_sup(g2, samples2, (1, 2)) == pytest.approx(4.0, rel=1e-7)
 
 
+def _derivative_sup_reference(g, samples, alpha):
+    """Per-multi-index oracle: a fresh forward transform for every alpha."""
+    hat = np.fft.fftn(np.asarray(samples, dtype=float))
+    for a_j, k_j in zip(alpha, g.k_axes):
+        if a_j:
+            hat = hat * (1j * k_j) ** a_j
+    return float(np.max(np.abs(np.fft.ifftn(hat).real)))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+def test_derivative_sup_batched_matches_per_alpha(dim, n):
+    g = GridSpec(dim, n, 2 * np.pi)
+    samples = make_generator(31, "batched-derivative", dim).standard_normal(g.shape)
+    if dim == 1:
+        alphas = [(m,) for m in range(9)]
+    else:
+        alphas = [(m - j, j) for m in range(7) for j in range(m + 1)]
+    sups = derivative_sup(g, samples, alphas)
+    assert isinstance(sups, np.ndarray) and sups.shape == (len(alphas),)
+    single = [derivative_sup(g, samples, alpha) for alpha in alphas]
+    assert all(isinstance(v, float) for v in single)
+    reference = [_derivative_sup_reference(g, samples, alpha) for alpha in alphas]
+    assert sups.tolist() == single == reference
+    assert derivative_sup(g, samples, np.array(alphas)).tolist() == reference
+    with pytest.raises(ValueError):
+        derivative_sup(g, samples, (1,) * (dim + 1))
+    with pytest.raises(ValueError):
+        derivative_sup(g, samples, [(1,) * (dim + 1)] * 3)
+
+
 def test_asigma_order_sums_cosine():
     """For a = A*cos(x) the order-m term is A*sigma^m/m!, so the truncated
     norm converges to A*e^sigma from below (up to differentiation noise)."""
@@ -170,10 +200,14 @@ def test_weighted_l2_polynomial_weight():
 
 def test_smoothing_gain_closed_form():
     """sup_r exp(r - r^s) is attained at r = s^(-1/(s-1)) with value
-    exp(r*(1 - 1/s)); the numerical optimizer must agree."""
+    exp(r*(1 - 1/s)); a brute-force scan over r must agree."""
+    r = np.linspace(0.0, 10.0, 200001)
     for s in (1.2, 1.5, 2.0, 3.0):
         r_star = s ** (-1.0 / (s - 1.0))
         exact = np.exp(r_star * (1.0 - 1.0 / s))
         assert smoothing_gain_constant(s) == pytest.approx(exact, rel=1e-12)
+        scanned = float(np.max(np.exp(r - r**s)))
+        assert scanned <= smoothing_gain_constant(s) * (1.0 + 1e-14)
+        assert scanned == pytest.approx(smoothing_gain_constant(s), rel=1e-9)
     with pytest.raises(ValueError):
         smoothing_gain_constant(1.0)
