@@ -39,7 +39,7 @@ from .config import (
     config_hash,
     load_config,
 )
-from .spectral import GridSpec
+from .spectral import GridSpec, SpectralField
 from .norms import l2_norm
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from .thick_sets import SET_BUILDERS, build_set, save_bitmask
@@ -49,6 +49,7 @@ from .rng import make_generator
 from .inequality_lab import (
     InsufficientDecayError,
     ThinSetError,
+    _interp_pairs,
     ls_growth_fit,
     observability_experiment,
     radius_estimate,
@@ -287,7 +288,7 @@ def _write_metadata(outdir: Path, experiment: str, cfg) -> None:
     )
 
 
-def _simulate_stage(u0, a, cfg, obs):
+def _simulate_stage(u0, a, cfg, obs, store_states=False):
     try:
         return simulate(
             u0,
@@ -298,7 +299,7 @@ def _simulate_stage(u0, a, cfg, obs):
             scheme=str(cfg["dynamics.scheme"]),
             record_every=int(cfg["run.record_every"]),
             obs_set=obs,
-            store_states=False,
+            store_states=store_states,
         )
     except IntegrationError as exc:
         raise NumericalFailure("time integration", exc) from exc
@@ -308,21 +309,7 @@ def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
     grid = _grid_from(cfg)
     a = _coeff_from(cfg, grid)
     obs = _set_from(cfg, grid)
-    u0 = _initial_field(cfg, grid)
-    try:
-        traj = simulate(
-            u0,
-            a,
-            float(cfg["dynamics.s"]),
-            float(cfg["dynamics.T"]),
-            float(cfg["dynamics.dt"]),
-            scheme=str(cfg["dynamics.scheme"]),
-            record_every=int(cfg["run.record_every"]),
-            obs_set=obs,
-            store_states=True,
-        )
-    except IntegrationError as exc:
-        raise NumericalFailure("time integration", exc) from exc
+    traj = _simulate_stage(_initial_field(cfg, grid), a, cfg, obs, store_states=True)
     trajectory_to_csv(traj, outdir / "trajectory.csv")
     if cfg["output.snapshot"]:
         save_snapshot(outdir / "final_state.snap", traj.final_state, traj.final_time)
@@ -402,25 +389,12 @@ def run_interp_scan(cfg, outdir: Path, assert_mode: bool) -> int:
     if delta <= 0:
         raise ConfigError("dynamics.s must exceed 1")
 
-    qs, log_l2j, log_l2ej, log_l2i = [], [], [], []
-    degenerate = 0
-    for u0 in fields:
-        traj = _simulate_stage(u0, a, cfg, obs)
-        inside = (traj.times > 0) & (traj.times <= t_cap + 1e-12)
-        ts = traj.times[inside]
-        l2 = traj.diagnostics["l2"][inside]
-        l2e = traj.diagnostics["l2_on_E"][inside]
-        for j in range(1, len(ts)):
-            if l2e[j] == 0.0:
-                degenerate += 1
-                continue
-            for i in range(j):
-                qs.append(1.0 / (ts[j] - ts[i]) ** delta)
-                log_l2j.append(np.log(l2[j]))
-                log_l2ej.append(np.log(l2e[j]))
-                log_l2i.append(np.log(l2[i]))
-    qs = np.asarray(qs)
-    log_l2j, log_l2ej, log_l2i = map(np.asarray, (log_l2j, log_l2ej, log_l2i))
+    batch = SpectralField(grid, np.stack([f.coeffs for f in fields]))
+    traj = _simulate_stage(batch, a, cfg, obs)
+    qs, log_l2j, log_l2ej, log_l2i, skipped = _interp_pairs(
+        traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"], t_cap, delta
+    )
+    degenerate = int(np.sum(skipped))
 
     n_theta = int(cfg["interp.theta_count"])
     thetas = np.linspace(
@@ -512,20 +486,7 @@ def run_observability(cfg, outdir: Path, assert_mode: bool) -> int:
 def run_radius_track(cfg, outdir: Path, assert_mode: bool) -> int:
     grid = _grid_from(cfg)
     a = _coeff_from(cfg, grid)
-    u0 = _initial_field(cfg, grid)
-    try:
-        traj = simulate(
-            u0,
-            a,
-            float(cfg["dynamics.s"]),
-            float(cfg["dynamics.T"]),
-            float(cfg["dynamics.dt"]),
-            scheme=str(cfg["dynamics.scheme"]),
-            record_every=int(cfg["run.record_every"]),
-            store_states=True,
-        )
-    except IntegrationError as exc:
-        raise NumericalFailure("time integration", exc) from exc
+    traj = _simulate_stage(_initial_field(cfg, grid), a, cfg, None, store_states=True)
     t_min = float(cfg["radius.t_min"])
     rows = []
     tracked = []

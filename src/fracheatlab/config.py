@@ -64,7 +64,9 @@ def _strip_comment(line: str) -> str:
 
 def parse_config_text(text: str) -> dict:
     cfg = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line (strip() drops a trailing "\r"); splitlines()
+    # would also break inside values at "\x1e", "\u2028" and the like
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue

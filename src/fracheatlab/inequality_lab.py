@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, _require_single
 from .norms import _alpha_factorial, _multi_indices, _spectral_derivatives
 from .norms import l2_norm, restricted_l2
 from .solver import simulate
@@ -243,6 +243,7 @@ def radius_estimate(
     shells otherwise raise InsufficientDecayError.  The value is clamped
     below at zero and is invariant under scalar rescaling of the field.
     """
+    _require_single(field, "radius_estimate")
     grid = field.grid
     if window is None:
         window = (2.0, 0.66 * grid.nyquist_axis)
@@ -560,6 +561,35 @@ class ObservabilityReport:
     degenerate_members: tuple
 
 
+def _interp_pairs(times, l2, l2_on_E, t_cap: float, delta: float):
+    """Every recorded pair t_i < t_j inside (0, t_cap] of every member,
+    skipping each j whose observed norm vanishes; ordered by member, then j,
+    then i.
+
+    ``l2`` and ``l2_on_E`` hold one row of recorded norms per member.
+    Returns q = 1/(t_j - t_i)^delta, log l2(t_j), log l2_on_E(t_j) and
+    log l2(t_i) per pair, and the number of skipped j per member.
+    """
+    inside = (times > 0) & (times <= t_cap + 1e-12)
+    ts = times[inside]
+    l2, l2e = l2[:, inside], l2_on_E[:, inside]
+    jj, ii = np.tril_indices(len(ts), -1)
+    # one scalar (libm) power per pair of times: numpy's SIMD array power
+    # may differ from it in the last bit
+    q = 1.0 / np.array([gap**delta for gap in (ts[jj] - ts[ii]).tolist()])
+    member, pair = np.nonzero((l2e != 0.0)[:, jj])
+    j, i = jj[pair], ii[pair]
+    with np.errstate(divide="ignore"):
+        log_l2, log_l2e = np.log(l2), np.log(l2e)
+    return (
+        q[pair],
+        log_l2[member, j],
+        log_l2e[member, j],
+        log_l2[member, i],
+        np.count_nonzero(l2e[:, 1:] == 0.0, axis=1),
+    )
+
+
 def observability_experiment(
     a,
     s: float,
@@ -590,51 +620,25 @@ def observability_experiment(
     delta = s - 1.0
     t_cap = min(total_time, 1.0)
 
-    ratios = []
-    degenerate = []
-    pair_qs, pair_logs = [], []
-    energy_max = 1.0
-    sup_a = 0.0
-    for idx, u0 in enumerate(ensemble):
-        traj = simulate(
-            u0, a, s, total_time, dt,
-            scheme=scheme, record_every=record_every, obs_set=obs,
-            store_states=False,
-        )
-        sup_a = max(
-            sup_a, max(float(np.max(np.abs(a.sample(t)))) for t in traj.times)
-        )
-        l2 = traj.diagnostics["l2"]
-        l2e = traj.diagnostics["l2_on_E"]
-        mass = float(np.trapezoid(l2e**2, traj.times))
-        if mass == 0.0:
-            ratios.append(np.inf)
-            degenerate.append(idx)
-            continue
-        ratios.append(float(l2[-1] ** 2 / mass))
-
-        inside = (traj.times > 0) & (traj.times <= t_cap + 1e-12)
-        ts = traj.times[inside]
-        l2_in, l2e_in = l2[inside], l2e[inside]
-        for j in range(1, len(ts)):
-            if l2e_in[j] == 0.0:
-                if idx not in degenerate:
-                    degenerate.append(idx)
-                continue
-            for i in range(j):
-                gap = ts[j] - ts[i]
-                if gap <= 0:
-                    continue
-                log_ratio = 2.0 * (
-                    np.log(l2_in[j])
-                    - theta * np.log(l2e_in[j])
-                    - (1.0 - theta) * np.log(l2_in[i])
-                )
-                pair_qs.append(1.0 / gap**delta)
-                pair_logs.append(log_ratio)
-                energy_max = max(
-                    energy_max, float(np.exp(2.0 * (np.log(l2_in[j]) - np.log(l2_in[i]))))
-                )
+    batch = SpectralField(ensemble[0].grid, np.stack([u0.coeffs for u0 in ensemble]))
+    traj = simulate(
+        batch, a, s, total_time, dt,
+        scheme=scheme, record_every=record_every, obs_set=obs,
+        store_states=False,
+    )
+    sup_a = max(float(np.max(np.abs(a.sample(t)))) for t in traj.times)
+    l2, l2e = traj.diagnostics["l2"], traj.diagnostics["l2_on_E"]
+    masses = np.array([float(np.trapezoid(row**2, traj.times)) for row in l2e])
+    ratios = [float(row[-1] ** 2 / mass) if mass else np.inf for row, mass in zip(l2, masses)]
+    live = masses != 0.0
+    pair_qs, log_j, log_ej, log_i, skipped = _interp_pairs(
+        traj.times, l2[live], l2e[live], t_cap, delta
+    )
+    pair_logs = 2.0 * (log_j - theta * log_ej - (1.0 - theta) * log_i)
+    energy_max = max(1.0, float(np.exp(np.max(2.0 * (log_j - log_i))))) if len(pair_qs) else 1.0
+    flagged = ~live
+    flagged[live] = skipped > 0
+    degenerate = [int(i) for i in np.flatnonzero(flagged)]
 
     c_premise = smallest_log_affine_dominator(pair_qs, pair_logs)
     c_premise = max(c_premise, energy_max)

@@ -26,7 +26,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, inverse
+from .spectral import GridSpec, SpectralField, _require_single, inverse
 
 __all__ = [
     "ExpLinearWeight",
@@ -81,6 +81,7 @@ class ExpLogLogWeight:
 
 def l2_norm(field: SpectralField) -> float:
     """L2(torus) norm; equals the Euclidean norm of the coefficients."""
+    _require_single(field, "l2_norm")
     return float(np.linalg.norm(field.coeffs))
 
 
@@ -90,6 +91,7 @@ def weighted_fourier_norm(field: SpectralField, weight) -> float:
     Evaluated as exp(log w + log|c|) termwise so a large weight paired with
     a tiny coefficient does not overflow prematurely.
     """
+    _require_single(field, "weighted_fourier_norm")
     c = np.abs(field.coeffs).ravel()
     logw = weight.log_multiplier(field.grid.k_mag).ravel()
     nz = c > 0.0
@@ -234,6 +236,7 @@ def restricted_l2(field: SpectralField, obs) -> float:
     one through an ``indicator`` attribute.  Never exceeds l2_norm(field)
     because the discrete Plancherel identity is exact.
     """
+    _require_single(field, "restricted_l2")
     ind = _indicator_of(obs)
     grid = field.grid
     if ind.shape != grid.shape:

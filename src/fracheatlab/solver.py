@@ -9,18 +9,24 @@ weights (e^z - 1)/z and (e^z - 1 - z)/z^2 switch to Taylor expansions below
 
 The product a*u is formed in physical space with 2/3-rule truncation both
 before and after, so quadratic aliasing never reaches retained modes.
+
+A state may be a batch of fields on a leading member axis; every member
+is advanced by the same transforms.  The weights are built once per
+(grid, s, step size), and the dealiased physical coefficient is reused
+for as long as a(t, .) samples to the same values.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, transform, inverse
+from .spectral import GridSpec, SpectralField, _require_single
 
 __all__ = [
     "IntegrationError",
@@ -39,13 +45,16 @@ _SNAP_MAGIC = b"FHS1"
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a step produces a non-finite state."""
+    """Raised when a step produces a non-finite state; ``member`` is the
+    first non-finite member of a batch, None for a single field."""
 
-    def __init__(self, step_index: int, time: float):
+    def __init__(self, step_index: int, time: float, member: int | None = None):
         self.step_index = step_index
         self.time = time
+        self.member = member
+        where = "" if member is None else f" in member {member}"
         super().__init__(
-            f"integration produced non-finite values at step {step_index} "
+            f"integration produced non-finite values{where} at step {step_index} "
             f"(t = {time:.6g})"
         )
 
@@ -70,14 +79,32 @@ def phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _product_term(grid: GridSpec, a_samples: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _etd_weights(grid: GridSpec, s: float, h: float) -> tuple:
+    """exp(z), h*phi1(z) and h*phi2(z) for z = -h*|k|^s."""
+    z = -h * grid.k_mag**s
+    return np.exp(z), h * phi1(z), h * phi2(z)
+
+
+# a copy of the last samples of a and their dealiased physical values; keyed
+# on content, so a hit left by any earlier caller yields the same values
+_last_a = [None, None]
+
+
+def _dealiased_a(grid: GridSpec, a_samples: np.ndarray) -> np.ndarray:
+    """Physical values of dealias(a), recomputed only when the samples change."""
+    last, a_phys = _last_a
+    if last is None or not np.array_equal(last, a_samples):
+        a_phys = np.fft.ifftn(np.fft.fftn(a_samples) * grid.dealias_mask)
+        _last_a[:] = np.array(a_samples), a_phys
+    return a_phys
+
+
+def _product_term(grid: GridSpec, a_phys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Spectral coefficients of dealias(a) * dealias(u), dealiased again."""
     mask = grid.dealias_mask
-    u_phys = np.fft.ifftn(coeffs * mask)
-    a_hat = np.fft.fftn(a_samples) * mask
-    a_phys = np.fft.ifftn(a_hat)
-    prod_hat = np.fft.fftn(a_phys * u_phys)
-    return prod_hat * mask
+    u_phys = np.fft.ifftn(coeffs * mask, axes=grid.axes)
+    return np.fft.fftn(a_phys * u_phys, axes=grid.axes) * mask
 
 
 def step(
@@ -88,7 +115,8 @@ def step(
     dt: float,
     scheme: str = "etd2",
 ) -> SpectralField:
-    """Advance one step of size dt starting at time t."""
+    """Advance one step of size dt starting at time t; a batched u advances
+    every member."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not s > 1:
@@ -96,16 +124,13 @@ def step(
     if scheme not in ("etd1", "etd2"):
         raise ValueError(f"scheme must be 'etd1' or 'etd2', got {scheme!r}")
     grid = u.grid
-    z = -dt * grid.k_mag**s
-    semigroup = np.exp(z)
-    w1 = dt * phi1(z)
-    n0 = _product_term(grid, a.sample(t), u.coeffs)
+    semigroup, w1, w2 = _etd_weights(grid, s, dt)
+    n0 = _product_term(grid, _dealiased_a(grid, a.sample(t)), u.coeffs)
     predictor = semigroup * u.coeffs + w1 * n0
     if scheme == "etd1":
         return u.with_coeffs(predictor)
-    n1 = _product_term(grid, a.sample(t + dt), predictor)
-    corrected = predictor + dt * phi2(z) * (n1 - n0)
-    return u.with_coeffs(corrected)
+    n1 = _product_term(grid, _dealiased_a(grid, a.sample(t + dt)), predictor)
+    return u.with_coeffs(predictor + w2 * (n1 - n0))
 
 
 @dataclass
@@ -115,7 +140,8 @@ class Trajectory:
     ``times`` holds the recorded instants (always including the initial and
     final time), ``states`` the corresponding spectral fields, and
     ``diagnostics`` one float array per recorded quantity ('l2' is always
-    present; 'l2_on_E' appears when an observation set was attached).
+    present; 'l2_on_E' appears when an observation set was attached).  A
+    batched run stores batched states and one row of diagnostics per member.
     """
 
     grid: GridSpec
@@ -133,6 +159,14 @@ class Trajectory:
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
+
+    def member(self, i: int) -> "Trajectory":
+        """The single-field trajectory of member i of a batched run."""
+        return replace(
+            self,
+            states=[f.with_coeffs(f.coeffs[i]) for f in self.states],
+            diagnostics={k: v[i] for k, v in self.diagnostics.items()},
+        )
 
 
 def simulate(
@@ -152,7 +186,9 @@ def simulate(
 
     The last step is shortened when dt does not divide T, so the final
     recorded time is exactly t0 + T.  Non-finite states abort with
-    IntegrationError naming the offending step.
+    IntegrationError naming the offending step (and member, for a batch).
+    A batched u0 advances every member with one step call per step, and the
+    diagnostics are evaluated member by member.
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -175,11 +211,12 @@ def simulate(
         times.append(t)
         if store_states:
             states.append(f)
-        diag["l2"].append(l2_norm(f))
+        members = [f.with_coeffs(c) for c in f.coeffs] if f.batched else [f]
+        diag["l2"].append([l2_norm(g) for g in members])
         if obs_set is not None:
-            diag["l2_on_E"].append(restricted_l2(f, obs_set))
+            diag["l2_on_E"].append([restricted_l2(g, obs_set) for g in members])
         for name, fn in extra_diagnostics.items():
-            diag[name].append(float(fn(f)))
+            diag[name].append([float(fn(g)) for g in members])
 
     n_full = int(np.floor(T / dt + 1e-12))
     remainder = T - n_full * dt
@@ -187,6 +224,7 @@ def simulate(
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0 else 0)
 
+    _etd_weights.cache_clear()  # weights never outlive the run that built them
     u = u0
     record(t0, u)
     for j in range(total_steps):
@@ -194,11 +232,13 @@ def simulate(
         t = t0 + j * dt
         u = step(u, a, s, t, h, scheme=scheme)
         if not np.all(np.isfinite(u.coeffs)):
-            raise IntegrationError(j + 1, t + h)
+            finite = np.isfinite(u.coeffs).reshape(-1, np.prod(u.grid.shape)).all(axis=1)
+            raise IntegrationError(j + 1, t + h, int(np.argmin(finite)) if u.batched else None)
         is_last = j == total_steps - 1
         if is_last or (j + 1) % record_every == 0:
             record(t0 + T if is_last else t + h, u)
 
+    rows = {k: np.ascontiguousarray(np.asarray(v, dtype=float).T) for k, v in diag.items()}
     return Trajectory(
         grid=u0.grid,
         s=float(s),
@@ -206,7 +246,7 @@ def simulate(
         dt=float(dt),
         times=np.asarray(times, dtype=float),
         states=states,
-        diagnostics={k: np.asarray(v, dtype=float) for k, v in diag.items()},
+        diagnostics=rows if u0.batched else {k: v[0] for k, v in rows.items()},
     )
 
 
@@ -264,7 +304,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 def save_snapshot(path, fld: SpectralField, time: float = 0.0) -> None:
     """Binary spectral snapshot: magic 'FHS1', uint8 dim, uint32 points per
     axis, float64 period, float64 time, then row-major complex coefficients
-    as little-endian 8-byte float pairs."""
+    as little-endian 8-byte float pairs.  The header has no member count,
+    so a batch is refused."""
+    _require_single(fld, "save_snapshot")
     grid = fld.grid
     header = _SNAP_MAGIC + struct.pack("<BIdd", grid.dim, grid.n, grid.period, time)
     payload = np.ascontiguousarray(fld.coeffs, dtype="<c16").tobytes()
@@ -276,8 +318,12 @@ def load_snapshot(path):
     raw = Path(path).read_bytes()
     if raw[:4] != _SNAP_MAGIC:
         raise ValueError(f"{path}: not a spectral snapshot file")
-    dim, n, period, time = struct.unpack("<BIdd", raw[4 : 4 + 21])
+    if len(raw) < 25:
+        raise ValueError(f"{path}: snapshot header is {len(raw)} bytes, expected 25")
+    dim, n, period, time = struct.unpack("<BIdd", raw[4:25])
     grid = GridSpec(dim=dim, n=n, period=period)
-    count = n**dim
-    coeffs = np.frombuffer(raw[4 + 21 :], dtype="<c16", count=count).reshape(grid.shape)
+    expected = 25 + 16 * n**dim
+    if len(raw) != expected:
+        raise ValueError(f"{path}: snapshot is {len(raw)} bytes, expected {expected}")
+    coeffs = np.frombuffer(raw[25:], dtype="<c16").reshape(grid.shape)
     return SpectralField(grid, coeffs.astype(complex)), time

@@ -59,6 +59,11 @@ class GridSpec:
         return (self.n,) * self.dim
 
     @property
+    def axes(self) -> tuple:
+        """The trailing spatial axes of a (possibly batched) coefficient array."""
+        return tuple(range(-self.dim, 0))
+
+    @property
     def dx(self) -> float:
         return self.period / self.n
 
@@ -132,14 +137,16 @@ class SpectralField:
     """Immutable pairing of a grid and a complex coefficient array.
 
     Coefficients follow the unitary normalization: sum(|coeffs|^2) equals
-    the squared L2(torus) norm of the field.
+    the squared L2(torus) norm of the field.  A batch of fields carries a
+    leading member axis, coefficient shape (m, *grid.shape).
     """
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
+        shape = self.coeffs.shape
+        if shape[-self.grid.dim:] != self.grid.shape or len(shape) > self.grid.dim + 1:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match "
                 f"grid shape {self.grid.shape}"
@@ -150,6 +157,15 @@ class SpectralField:
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)
+
+    @property
+    def batched(self) -> bool:
+        return self.coeffs.ndim > self.grid.dim
+
+
+def _require_single(field: SpectralField, what: str) -> None:
+    if field.batched:
+        raise ValueError(f"{what} takes one field, got a batch of {len(field.coeffs)}")
 
 
 def _conjugate_partner(grid: GridSpec):
@@ -175,10 +191,10 @@ def transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
 
 def inverse(field: SpectralField) -> np.ndarray:
     """Physical samples of a SpectralField (complex array; take .real for
-    fields known to be real)."""
+    fields known to be real), one array per member for a batch."""
     grid = field.grid
     scale = grid.n**grid.dim / grid.period ** (grid.dim / 2.0)
-    return np.fft.ifftn(field.coeffs) * scale
+    return np.fft.ifftn(field.coeffs, axes=grid.axes) * scale
 
 
 def fractional_apply(field: SpectralField, s: float) -> SpectralField:

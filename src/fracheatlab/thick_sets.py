@@ -202,15 +202,18 @@ def load_bitmask(path, grid: GridSpec) -> ThickSet:
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a bitmask set file")
-    dim, n, period, scale = struct.unpack("<BIdd", raw[4 : 4 + 21])
+    if len(raw) < 25:
+        raise ValueError(f"{path}: bitmask header is {len(raw)} bytes, expected 25")
+    dim, n, period, scale = struct.unpack("<BIdd", raw[4:25])
     if (dim, n) != (grid.dim, grid.n) or abs(period - grid.period) > 1e-12 * period:
         raise ValueError(
             f"{path}: stored grid (dim={dim}, n={n}, period={period}) does not "
             f"match requested grid (dim={grid.dim}, n={grid.n}, period={grid.period})"
         )
     cells = n**dim
-    bits = np.unpackbits(
-        np.frombuffer(raw[4 + 21 :], dtype=np.uint8), count=cells
-    ).astype(bool)
+    expected = 25 + -(-cells // 8)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: bitmask is {len(raw)} bytes, expected {expected}")
+    bits = np.unpackbits(np.frombuffer(raw[25:], dtype=np.uint8), count=cells).astype(bool)
     indicator = bits.reshape((n,) * dim)
     return ThickSet.from_indicator(grid, indicator, scale)

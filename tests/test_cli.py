@@ -107,15 +107,20 @@ def test_hash_in_string_is_quoted_on_output():
     assert parse_config_text(canonical_text({"k": "a#b"})) == {"k": "a#b"}
 
 
-# text without line breaks of any kind, which splitlines() would honour
+def test_only_newline_ends_a_config_line():
+    # str.splitlines() also breaks at "\x1e", "\u2028" and other separators
+    for cfg in ({"grid.n": "\x1e"}, {"k": "a\u2028b"}, {"k": "a\x1eb", "j": "\x0b\x0c\x85"}):
+        assert parse_config_text(canonical_text(cfg)) == cfg
+    assert parse_config_text("a = 1\r\nb = x\r\n") == {"a": 1, "b": "x"}
+
+
+# every character format_value accepts, line separators other than "\n" included
 _line_values = st.one_of(
     st.booleans(),
     st.integers(min_value=-(10**12), max_value=10**12),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     st.text(
-        alphabet=st.characters(
-            blacklist_characters='"', blacklist_categories=("Cs", "Cc", "Zl", "Zp")
-        ),
+        alphabet=st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)),
         max_size=40,
     ),
 )

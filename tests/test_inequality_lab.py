@@ -20,6 +20,7 @@ from fracheatlab.coefficients import builtin_coefficient
 from fracheatlab.inequality_lab import (
     ThinSetError,
     InsufficientDecayError,
+    _interp_pairs,
     ls_constant,
     ls_growth_fit,
     radius_estimate,
@@ -392,3 +393,63 @@ def test_observability_flags_degenerate_members():
     assert not rep.passed
     assert rep.degenerate_members == (0,)
     assert rep.empirical_ratio == np.inf
+
+
+def _loop_pairs(times, l2_rows, l2e_rows, t_cap, delta, theta):
+    """The per-member double loops that interp-scan and the observability
+    experiment used to run, as an oracle for the vectorized pair builder."""
+    qs, logs_j, logs_ej, logs_i, ratios, skipped = [], [], [], [], [], []
+    energy_max = 1.0
+    for l2_all, l2e_all in zip(l2_rows, l2e_rows):
+        inside = (times > 0) & (times <= t_cap + 1e-12)
+        ts, l2, l2e = times[inside], l2_all[inside], l2e_all[inside]
+        skipped.append(0)
+        for j in range(1, len(ts)):
+            if l2e[j] == 0.0:
+                skipped[-1] += 1
+                continue
+            for i in range(j):
+                qs.append(1.0 / (ts[j] - ts[i]) ** delta)
+                logs_j.append(np.log(l2[j]))
+                logs_ej.append(np.log(l2e[j]))
+                logs_i.append(np.log(l2[i]))
+                ratios.append(2.0 * (
+                    np.log(l2[j]) - theta * np.log(l2e[j]) - (1.0 - theta) * np.log(l2[i])
+                ))
+                energy_max = max(
+                    energy_max, float(np.exp(2.0 * (np.log(l2[j]) - np.log(l2[i]))))
+                )
+    return qs, logs_j, logs_ej, logs_i, ratios, energy_max, skipped
+
+
+@pytest.mark.parametrize("t_cap, delta", [(1.0, 0.5), (0.6, 0.7), (1.0, 1.0)])
+def test_interp_pairs_match_double_loops(t_cap, delta):
+    rng = make_generator(511, "pairs")
+    times = np.linspace(0.0, 1.5, 31)
+    l2 = np.exp(rng.normal(0.0, 2.0, size=(3, 31)))
+    l2e = l2 * rng.uniform(0.01, 1.0, size=(3, 31))
+    l2e[0, [0, 4, 9]] = 0.0  # t = 0 is outside, the others are skipped
+    l2e[2, 13] = 0.0
+    theta = 0.3
+    qs, log_j, log_ej, log_i, skipped = _interp_pairs(times, l2, l2e, t_cap, delta)
+    q_ref, j_ref, ej_ref, i_ref, ratio_ref, energy_ref, skipped_ref = _loop_pairs(
+        times, l2, l2e, t_cap, delta, theta
+    )
+    assert len(qs) == len(q_ref) > 0
+    assert np.array_equal(log_j, j_ref)
+    assert np.array_equal(log_ej, ej_ref)
+    assert np.array_equal(log_i, i_ref)
+    assert list(skipped) == skipped_ref
+    assert np.array_equal(qs, q_ref)
+    # the observability experiment's combinations of the same columns
+    ratios = 2.0 * (log_j - theta * log_ej - (1.0 - theta) * log_i)
+    assert np.array_equal(ratios, ratio_ref)
+    energy = max(1.0, float(np.exp(np.max(2.0 * (log_j - log_i)))))
+    assert energy == energy_ref
+
+
+def test_radius_estimate_refuses_a_batch():
+    g = GridSpec(1, 64, 2 * np.pi)
+    f = random_analytic_decay(g, make_generator(512, "batch"), 0.5)
+    with pytest.raises(ValueError, match="batch"):
+        radius_estimate(SpectralField(g, np.stack([f.coeffs, f.coeffs])))

@@ -211,3 +211,24 @@ def test_smoothing_gain_closed_form():
         assert scanned == pytest.approx(smoothing_gain_constant(s), rel=1e-9)
     with pytest.raises(ValueError):
         smoothing_gain_constant(1.0)
+
+
+def _pair_batch(g):
+    f = random_band_limited(g, make_generator(613, "batch"), band=6.0)
+    return SpectralField(g, np.stack([f.coeffs, 2.0 * f.coeffs]))
+
+
+def test_l2_norm_refuses_a_batch():
+    with pytest.raises(ValueError, match="batch"):
+        l2_norm(_pair_batch(GridSpec(1, 32, 2 * np.pi)))
+
+
+def test_restricted_l2_refuses_a_batch():
+    g = GridSpec(2, 16, 2 * np.pi)
+    with pytest.raises(ValueError, match="batch"):
+        restricted_l2(_pair_batch(g), np.ones(g.shape, dtype=bool))
+
+
+def test_weighted_fourier_norm_refuses_a_batch():
+    with pytest.raises(ValueError, match="batch"):
+        weighted_fourier_norm(_pair_batch(GridSpec(1, 32, 2 * np.pi)), ExpLinearWeight(0.5))

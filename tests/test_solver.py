@@ -8,14 +8,17 @@ acceptance suite repeats them on the contract grid).
 """
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
+from fracheatlab import solver
 from fracheatlab.spectral import GridSpec, SpectralField, transform, semigroup_apply
-from fracheatlab.ensembles import random_band_limited, single_mode
+from fracheatlab.ensembles import make_ensemble, random_band_limited, single_mode
+from fracheatlab.norms import l2_norm
 from fracheatlab.rng import make_generator
-from fracheatlab.coefficients import builtin_coefficient
+from fracheatlab.coefficients import CoefficientField, builtin_coefficient
 from fracheatlab.solver import (
     IntegrationError,
     phi1,
@@ -197,6 +200,31 @@ def test_snapshot_roundtrip(tmp_path):
         load_snapshot(bad)
 
 
+def test_snapshot_rejects_wrong_lengths_and_batches(tmp_path):
+    g = GridSpec(1, 8, 2 * np.pi)
+    f = single_mode(g, (1,))
+    path = tmp_path / "state.snap"
+    save_snapshot(path, f)
+    raw = path.read_bytes()
+    assert len(raw) == 25 + 16 * 8
+    for label, data in (
+        ("truncated", raw[:-16]),
+        ("one byte short", raw[:-1]),
+        ("extended", raw + bytes(16)),
+        ("one trailing byte", raw + b"\x00"),
+        ("header only", raw[:25]),
+        ("short header", raw[:12]),
+    ):
+        bad = tmp_path / f"{label}.snap"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            load_snapshot(bad)
+    # the header has no member count, so a batch cannot be written
+    batch = SpectralField(g, np.stack([f.coeffs, f.coeffs]))
+    with pytest.raises(ValueError):
+        save_snapshot(tmp_path / "batch.snap", batch)
+
+
 def test_step_argument_validation():
     g = GridSpec(1, 32, 2 * np.pi)
     a = builtin_coefficient("zero", g)
@@ -211,3 +239,137 @@ def test_step_argument_validation():
         simulate(u, a, 1.5, -1.0, 0.01)
     with pytest.raises(ValueError):
         simulate(u, a, 1.5, 1.0, 0.01, record_every=0)
+
+
+def _oracle_step(u, a, s, t, dt, scheme):
+    """The unplanned ETD step on one field: phi recomputed and a re-dealiased
+    on every call."""
+    grid = u.grid
+    mask = grid.dealias_mask
+
+    def product(a_samples, coeffs):
+        u_phys = np.fft.ifftn(coeffs * mask)
+        a_phys = np.fft.ifftn(np.fft.fftn(a_samples) * mask)
+        return np.fft.fftn(a_phys * u_phys) * mask
+
+    z = -dt * grid.k_mag**s
+    n0 = product(a.sample(t), u.coeffs)
+    predictor = np.exp(z) * u.coeffs + dt * phi1(z) * n0
+    if scheme == "etd1":
+        return u.with_coeffs(predictor)
+    n1 = product(a.sample(t + dt), predictor)
+    return u.with_coeffs(predictor + dt * phi2(z) * (n1 - n0))
+
+
+def _oracle_states(u0, a, s, T, dt, scheme):
+    """Every state of the oracle run on simulate's step schedule (n full
+    steps of dt, then the shortened remainder)."""
+    n_full = int(np.floor(T / dt + 1e-12))
+    remainder = T - n_full * dt
+    sizes = [dt] * n_full + ([remainder] if remainder >= 1e-12 * max(dt, 1.0) else [])
+    states = [u0]
+    for j, h in enumerate(sizes):
+        states.append(_oracle_step(states[-1], a, s, j * dt, h, scheme))
+    return states
+
+
+def _batch(fields):
+    return SpectralField(fields[0].grid, np.stack([f.coeffs for f in fields]))
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("coeff", ["cosine", "time_cosine"])
+def test_batched_simulate_equals_unplanned_oracle(scheme, dim, coeff):
+    g = GridSpec(dim, 32 if dim == 1 else 16, 2 * np.pi)
+    params = {"amplitude": 0.6, "mode": 2}
+    if coeff == "time_cosine":
+        params["time_freq"] = 3.0
+    a = builtin_coefficient(coeff, g, **params)
+    fields = make_ensemble(g, 3, seed=48, kind="mixed")
+    T, dt = 0.25, 0.02  # twelve full steps, then a shortened one of 0.01
+    traj = simulate(_batch(fields), a, 1.5, T, dt, scheme=scheme)
+    assert traj.final_time == T
+    for i, u0 in enumerate(fields):
+        expect = _oracle_states(u0, a, 1.5, T, dt, scheme)
+        assert len(traj.states) == len(expect) == 14
+        for got, want in zip(traj.states, expect):
+            assert np.array_equal(got.coeffs[i], want.coeffs)
+        assert np.array_equal(traj.diagnostics["l2"][i], [l2_norm(f) for f in expect])
+
+
+def test_batch_equals_single_runs():
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("time_cosine", g, amplitude=0.5, mode=1, time_freq=2.0)
+    ind = np.zeros(32, dtype=bool)
+    ind[:12] = True
+    fields = make_ensemble(g, 4, seed=49, kind="mixed")
+    extra = {"dc": lambda f: abs(f.coeffs[0])}
+    kw = dict(record_every=3, obs_set=ind, extra_diagnostics=extra)
+    batched = simulate(_batch(fields), a, 1.5, 0.3, 0.02, **kw)
+    assert batched.diagnostics["l2"].shape == (4, len(batched.times))
+    for i, u0 in enumerate(fields):
+        single = simulate(u0, a, 1.5, 0.3, 0.02, **kw)
+        member = batched.member(i)
+        assert np.array_equal(member.times, single.times)
+        assert set(member.diagnostics) == set(single.diagnostics) == {"l2", "l2_on_E", "dc"}
+        for name, values in single.diagnostics.items():
+            assert np.array_equal(member.diagnostics[name], values)
+        for got, want in zip(member.states, single.states, strict=True):
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_in_place_refilled_evaluator_is_redealiased():
+    # an evaluator that refills one buffer returns the same array object with
+    # new contents; the dealiased coefficient must follow the contents
+    g = GridSpec(1, 32, 2 * np.pi)
+    x = g.x_axes[0]
+    buf = np.empty(g.shape)
+
+    def refill(t):
+        buf[:] = 0.5 * np.cos(x) * (1.0 + 4.0 * t)
+        return buf
+
+    a = CoefficientField(g, refill)
+    u0 = random_band_limited(g, make_generator(50, "refill"), band=6.0)
+    traj = simulate(u0, a, 1.5, 0.2, 0.02)
+    expect = _oracle_states(u0, a, 1.5, 0.2, 0.02, "etd2")
+    assert np.array_equal(traj.final_state.coeffs, expect[-1].coeffs)
+
+
+def test_phi_weights_built_once_per_step_size(monkeypatch):
+    calls = {"phi1": 0, "phi2": 0}
+
+    def counting(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            return fn(z)
+        return wrapped
+
+    monkeypatch.setattr(solver, "phi1", counting("phi1", phi1))
+    monkeypatch.setattr(solver, "phi2", counting("phi2", phi2))
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    u0 = _batch(make_ensemble(g, 3, seed=51))
+    simulate(u0, a, 1.5, 0.2, 0.02)  # ten equal steps: one step size
+    assert calls == {"phi1": 1, "phi2": 1}
+    simulate(u0, a, 1.5, 0.25, 0.02)  # twelve steps of 0.02 and one of 0.01
+    assert calls == {"phi1": 3, "phi2": 3}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_batched_integration_error_names_member():
+    # zero members stay zero under any a; only member 1 blows up
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("constant", g, value=5000.0)
+    zero = SpectralField(g, np.zeros(32, dtype=complex))
+    batch = _batch([zero, single_mode(g, (1,)), zero])
+    with pytest.raises(IntegrationError, match="member 1") as exc:
+        simulate(batch, a, 1.5, 50.0, 0.5)
+    assert exc.value.member == 1
+    assert exc.value.step_index >= 1
+    with pytest.raises(IntegrationError) as single:
+        simulate(single_mode(g, (1,)), a, 1.5, 50.0, 0.5)
+    assert single.value.member is None
+    assert single.value.step_index == exc.value.step_index
+    assert "member" not in str(single.value)

@@ -5,6 +5,8 @@ scan written with plain python loops, which is slow but has no shared code
 with the windowed cumulative-sum implementation.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,33 @@ def test_bitmask_roundtrip(tmp_path):
     path2.write_bytes(b"NOPE" + bytes(32))
     with pytest.raises(ValueError):
         load_bitmask(path2, g)
+
+
+def test_bitmask_rejects_wrong_payload_length(tmp_path):
+    # a full 2D n=8 set is 8 payload bytes; cut by 4 it once loaded as a
+    # half-empty set with gamma = 0
+    g = GridSpec(2, 8, 2 * np.pi)
+    path = tmp_path / "full.mask"
+    save_bitmask(path, build_set("full", g, scale=np.pi / 2))
+    raw = path.read_bytes()
+    assert len(raw) == 25 + 8
+    for label, data in (
+        ("truncated", raw[:-4]),
+        ("one byte short", raw[:-1]),
+        ("extended", raw + b"\xff"),
+        ("header only", raw[:25]),
+        ("short header", raw[:20]),
+    ):
+        bad = tmp_path / f"{label}.mask"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            load_bitmask(bad, g)
+    # an odd cell count rounds the payload up to whole bytes
+    g1 = GridSpec(1, 10, 1.0)
+    odd = tmp_path / "odd.mask"
+    save_bitmask(odd, build_set("full", g1, scale=0.5))
+    assert len(odd.read_bytes()) == 25 + 2
+    assert load_bitmask(odd, g1).volume_fraction == 1.0
 
 
 def test_indicator_is_frozen():
