@@ -4,9 +4,9 @@ dynamics on the torus.
 The package simulates d/dt u + (-Laplace)^(s/2) u = a(t,x) u with a periodic
 pseudospectral discretization and measures the quantitative inequalities the
 dynamics is expected to satisfy: persistence of the analytic radius,
-restriction (thick-set) constants for band-limited functions, high-low
-frequency splittings, and observability constants assembled by geometric
-time refinement.
+restriction (thick-set) constants for band-limited functions, interpolation
+constants between the full and the observed norm, and observability
+constants assembled by geometric time refinement.
 """
 
 from .spectral import (
@@ -42,8 +42,6 @@ from .inequality_lab import (
     ls_constant,
     ls_growth_fit,
     radius_estimate,
-    interp_ratio,
-    highlow_threshold,
     telescope_constant,
     spacetime_lift,
     observability_experiment,
@@ -84,8 +82,6 @@ __all__ = [
     "ls_constant",
     "ls_growth_fit",
     "radius_estimate",
-    "interp_ratio",
-    "highlow_threshold",
     "telescope_constant",
     "spacetime_lift",
     "observability_experiment",

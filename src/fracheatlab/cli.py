@@ -43,7 +43,7 @@ from .spectral import GridSpec, SpectralField
 from .norms import l2_norm
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from .thick_sets import SET_BUILDERS, build_set, save_bitmask
-from .solver import IntegrationError, energy_certificate, simulate, save_snapshot, trajectory_to_csv
+from .solver import IntegrationError, energy_certificate, simulate, save_snapshot
 from .ensembles import make_ensemble, random_analytic_decay, random_band_limited, single_mode
 from .rng import make_generator
 from .inequality_lab import (
@@ -137,23 +137,21 @@ _EXPERIMENT_DEFAULTS = {
     "assert-suite": {},
 }
 
-# coefficient builder parameters accepted per builder, for key validation
-_COEFF_KEYS = {
-    "coeff.name", "coeff.value", "coeff.amplitude", "coeff.mode",
-    "coeff.time_freq", "coeff.radius", "coeff.seed", "coeff.fit_alpha_max",
-}
-_SET_KEYS = {
-    "set.kind", "set.scale", "set.fraction", "set.seed", "set.radius",
-}
-_INIT_KEYS = {
-    "init.kind", "init.radius", "init.band", "init.mode", "init.amplitude",
-}
+# the types a value may have, by the type of its key's default; bool is an
+# int subclass, so a bool value is accepted for bool keys only
+_VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
-def _allowed_keys(experiment: str) -> set:
-    keys = set(_COMMON_DEFAULTS) | set(_EXPERIMENT_DEFAULTS[experiment])
-    keys |= _COEFF_KEYS | _SET_KEYS | _INIT_KEYS
-    return keys
+def _key_defaults(experiment: str) -> dict:
+    """Default of every key the experiment accepts: the builders' keyword
+    parameters as coeff.* and set.*, then the tables above."""
+    keys = {}
+    for prefix, registry in (("coeff.", BUILTIN_COEFFICIENTS), ("set.", SET_BUILDERS)):
+        for builder in registry.values():
+            for name, param in inspect.signature(builder).parameters.items():
+                if param.default is not param.empty:
+                    keys.setdefault(prefix + name, param.default)
+    return {**keys, **_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
 
 
 def _resolve_config(experiment: str, config_path, sets) -> dict:
@@ -162,12 +160,16 @@ def _resolve_config(experiment: str, config_path, sets) -> dict:
     if config_path:
         cfg.update(load_config(config_path))
     cfg = apply_overrides(cfg, sets)
-    allowed = _allowed_keys(experiment)
-    for key in cfg:
+    defaults = _key_defaults(experiment)
+    for key, value in cfg.items():
         if key.startswith("acceptance."):
             continue
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {experiment}")
+        kind = type(defaults[key])
+        types = _VALUE_TYPES.get(kind)
+        if types and (isinstance(value, bool) != (bool in types) or not isinstance(value, types)):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
     return cfg
 
 
@@ -310,7 +312,11 @@ def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
     a = _coeff_from(cfg, grid)
     obs = _set_from(cfg, grid)
     traj = _simulate_stage(_initial_field(cfg, grid), a, cfg, obs, store_states=True)
-    trajectory_to_csv(traj, outdir / "trajectory.csv")
+    _write_csv(
+        outdir / "trajectory.csv",
+        ["t", *traj.diagnostics],
+        zip(traj.times, *traj.diagnostics.values()),
+    )
     if cfg["output.snapshot"]:
         save_snapshot(outdir / "final_state.snap", traj.final_state, traj.final_time)
     if obs is not None and cfg["output.save_set"]:

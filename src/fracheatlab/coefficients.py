@@ -13,8 +13,6 @@ them against the declared budget.  ``builtin_coefficient`` provides a small
 registry of ready-made fields; custom ones can be constructed directly from
 any evaluator.
 
-``weight_transform`` exposes the drift/zero-order coefficient pair produced
-by conjugating heat dynamics with the polynomial weight (1+|x|^2)^(w/2), and
 ``h_s_derivative_check`` measures derivative growth of the reciprocal weight
 (1+|x|^2)^(-s/2) on a torus wide enough that periodization is negligible.
 """
@@ -38,8 +36,6 @@ __all__ = [
     "builtin_coefficient",
     "verify_class",
     "ClassCheckReport",
-    "DriftPair",
-    "weight_transform",
     "h_s_derivative_check",
     "HsCheckReport",
     "BUILTIN_COEFFICIENTS",
@@ -288,36 +284,6 @@ def verify_class(
         alpha_max=alpha_max,
         rel_tol=rel_tol,
         rows=tuple(rows),
-    )
-
-
-@dataclass(frozen=True)
-class DriftPair:
-    """Coefficients produced by the polynomial-weight change of variable.
-
-    ``zero_order`` is the a-independent part of the new zero-order
-    coefficient, w*(w-1)*(1+|x|^2)^(-1/2); the transformed equation adds the
-    original a(t,x) to it.  ``drift`` holds the first-order coefficients
-    2*w*x_j*(1+|x|^2)^(-1), one array per axis.  Both vanish identically at
-    w = 0; the zero-order part also vanishes at w = 1.
-    """
-
-    exponent: float
-    zero_order: np.ndarray
-    drift: tuple
-
-
-def weight_transform(w: float, grid: GridSpec) -> DriftPair:
-    xc = grid.x_centered_axes
-    r2 = sum(x**2 for x in xc)
-    zero_order = w * (w - 1.0) * (1.0 + r2) ** (-0.5)
-    drift = tuple(
-        np.broadcast_to(2.0 * w * x / (1.0 + r2), grid.shape).copy() for x in xc
-    )
-    return DriftPair(
-        exponent=float(w),
-        zero_order=np.broadcast_to(zero_order, grid.shape).copy(),
-        drift=drift,
     )
 
 

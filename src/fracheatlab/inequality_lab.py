@@ -8,10 +8,8 @@ computes:
   set, as inverse smallest eigenvalues of a Hermitian Gram matrix, plus
   their growth fit in the band radius;
 * analytic-radius estimates from the decay of per-shell spectral maxima;
-* final-time interpolation ratios between the full norm, the restricted
-  norm, and an earlier norm;
-* the scalar high/low balancing threshold for splitting a field against a
-  log-enhanced spectral weight;
+* interpolation log-ratios between the full norm, the restricted norm,
+  and an earlier norm over pairs of recorded times;
 * the constant assembled by geometric refinement toward the initial time
   (closed form and its numerically accumulated series twin), and the lift
   of a fixed-time interpolation constant to a space-time one;
@@ -27,8 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from .spectral import GridSpec, SpectralField, _require_single
-from .norms import _alpha_factorial, _multi_indices, _spectral_derivatives
-from .norms import l2_norm, restricted_l2
 from .solver import simulate
 
 __all__ = [
@@ -39,16 +35,12 @@ __all__ = [
     "LSGrowthReport",
     "radius_estimate",
     "RadiusFit",
-    "interp_ratio",
-    "highlow_threshold",
-    "HighLowRoot",
     "telescope_constant",
     "TelescopeReport",
     "spacetime_lift",
     "LiftReport",
     "observability_experiment",
     "ObservabilityReport",
-    "cell_taylor_suprema",
     "smallest_log_affine_dominator",
 ]
 
@@ -286,92 +278,6 @@ def radius_estimate(
         n_shells=int(usable.sum()),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         window=window,
-    )
-
-
-def interp_ratio(u_t: SpectralField, u0_norm: float, obs, theta: float) -> float:
-    """||u_t||^2 / ( ||u_t||_E^(2*theta) * u0_norm^(2*(1-theta)) ).
-
-    Infinite when the field carries mass but none of it sits on the
-    observation set.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if u0_norm < 0:
-        raise ValueError(f"u0_norm must be nonnegative, got {u0_norm}")
-    num = l2_norm(u_t) ** 2
-    if num == 0.0:
-        return 0.0
-    restricted = restricted_l2(u_t, obs) ** 2
-    denom = restricted**theta * (u0_norm**2) ** (1.0 - theta)
-    if denom == 0.0:
-        return np.inf
-    return float(num / denom)
-
-
-@dataclass(frozen=True)
-class HighLowRoot:
-    n0: float
-    residual_lo: float
-    residual_hi: float
-    flagged_zero: bool
-
-
-def highlow_threshold(
-    c: float, kappa: float, c_ls: float, epsilon: float
-) -> HighLowRoot:
-    """Solve (1 + c_ls*e^(c_ls*N)) * exp(-c*N*log(e+N)^(1-kappa)) = epsilon.
-
-    The left side starts at 1 + c_ls, may rise, and eventually decays to
-    zero because the log-enhanced weight outruns any fixed exponential; the
-    unique crossing on that monotone tail is found by bisection.  Returns
-    the root with the bracketing residuals; if epsilon already dominates
-    the value at N = 0 the root is reported as 0 with a flag.
-    """
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError(f"kappa must lie in [0, 1), got {kappa}")
-    if c_ls < 1.0:
-        raise ValueError(f"c_ls must be >= 1, got {c_ls}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
-    log_eps = np.log(epsilon)
-
-    def log_f(n):
-        growth = np.logaddexp(0.0, np.log(c_ls) + c_ls * n)
-        return growth - c * n * np.log(np.e + n) ** (1.0 - kappa)
-
-    if log_eps >= log_f(0.0):
-        val = float(np.exp(log_f(0.0)))
-        return HighLowRoot(0.0, val - epsilon, val - epsilon, True)
-
-    hi = 1.0
-    while log_f(hi) >= log_eps:
-        hi *= 2.0
-        if hi > 2.0**120:
-            raise RuntimeError("failed to bracket the balancing root")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while log_f(lo) < log_eps:
-        # start of the bracket must sit on or above epsilon
-        lo /= 2.0
-        if lo < 1e-300:
-            lo = 0.0
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if log_f(mid) >= log_eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return HighLowRoot(
-        n0=0.5 * (lo + hi),
-        residual_lo=float(np.exp(log_f(lo)) - epsilon),
-        residual_hi=float(np.exp(log_f(hi)) - epsilon),
-        flagged_zero=False,
     )
 
 
@@ -669,47 +575,3 @@ def observability_experiment(
         passed=passed,
         degenerate_members=tuple(degenerate),
     )
-
-
-def cell_taylor_suprema(
-    field_samples: np.ndarray,
-    grid: GridSpec,
-    sigma: float,
-    scale: float,
-    alpha_max: int = 8,
-) -> np.ndarray:
-    """Per-cell Taylor majorants over doubled cubes.
-
-    The torus is partitioned into cubes of side ``scale``; for each cell j
-    the returned entry is max over |alpha| <= alpha_max of
-    sigma^|alpha| * sup over the concentric double cube of |d^alpha f| /
-    alpha!.  The sum of squares of these majorants is controlled by the
-    squared strip norm at four times sigma, which is what the covering
-    tests measure.
-    """
-    m = int(round(scale / grid.dx))
-    if abs(m - scale / grid.dx) > 1e-9 or m < 1 or grid.n % m:
-        raise ValueError(
-            f"cube side {scale} must be a whole number of grid cells dividing n"
-        )
-    blocks = grid.n // m
-
-    def windows(arr):
-        """Max of |arr| over the double cube around each cell."""
-        out = np.empty((blocks,) * grid.dim)
-        offs = np.arange(-(m // 2), m + (m + 1) // 2)
-        for j in np.ndindex(*out.shape):
-            sl = tuple(((j[d] * m + offs) % grid.n) for d in range(grid.dim))
-            if grid.dim == 1:
-                out[j] = np.max(np.abs(arr[sl[0]]))
-            else:
-                out[j] = np.max(np.abs(arr[np.ix_(sl[0], sl[1])]))
-        return out
-
-    best = np.zeros((blocks,) * grid.dim)
-    alphas = _multi_indices(grid.dim, alpha_max)
-    derivs = _spectral_derivatives(grid, field_samples, alphas)
-    for alpha, deriv in zip(alphas, derivs):
-        weight = sigma ** sum(alpha) / _alpha_factorial(alpha)
-        best = np.maximum(best, weight * windows(deriv))
-    return best.ravel()

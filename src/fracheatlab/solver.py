@@ -18,7 +18,6 @@ for as long as a(t, .) samples to the same values.
 
 from __future__ import annotations
 
-import csv
 import functools
 import struct
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,6 @@ __all__ = [
     "simulate",
     "energy_certificate",
     "CertificateReport",
-    "trajectory_to_csv",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -178,7 +176,6 @@ def simulate(
     scheme: str = "etd2",
     record_every: int = 1,
     obs_set=None,
-    extra_diagnostics: dict | None = None,
     t0: float = 0.0,
     store_states: bool = True,
 ) -> Trajectory:
@@ -199,13 +196,10 @@ def simulate(
 
     from .norms import l2_norm, restricted_l2  # local import avoids a cycle
 
-    extra_diagnostics = extra_diagnostics or {}
     times, states = [], []
     diag: dict = {"l2": []}
     if obs_set is not None:
         diag["l2_on_E"] = []
-    for name in extra_diagnostics:
-        diag[name] = []
 
     def record(t, f):
         times.append(t)
@@ -215,8 +209,6 @@ def simulate(
         diag["l2"].append([l2_norm(g) for g in members])
         if obs_set is not None:
             diag["l2_on_E"].append([restricted_l2(g, obs_set) for g in members])
-        for name, fn in extra_diagnostics.items():
-            diag[name].append([float(fn(g)) for g in members])
 
     n_full = int(np.floor(T / dt + 1e-12))
     remainder = T - n_full * dt
@@ -269,6 +261,9 @@ def energy_certificate(traj: Trajectory, a, slack: float = 1e-6) -> CertificateR
     """
     if slack < 0:
         raise ValueError(f"slack must be nonnegative, got {slack}")
+    if traj.diagnostics["l2"].ndim != 1:
+        n = len(traj.diagnostics["l2"])
+        raise ValueError(f"energy_certificate takes one trajectory, got a batch of {n}")
     sup_a = max(float(np.max(np.abs(a.sample(t)))) for t in traj.times)
     l2 = traj.diagnostics["l2"]
     with np.errstate(divide="ignore"):
@@ -286,19 +281,6 @@ def energy_certificate(traj: Trajectory, a, slack: float = 1e-6) -> CertificateR
         worst_excess=float(np.expm1(worst)) if worst < 700 else np.inf,
         worst_pair=(float(traj.times[i]), float(traj.times[j])) if len(excess) else (0.0, 0.0),
     )
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write recorded diagnostics as CSV (comma separated, CRLF rows)."""
-    names = sorted(k for k in traj.diagnostics if k != "l2")
-    header = ["t", "l2"] + names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [repr(float(t)), repr(float(traj.diagnostics["l2"][i]))]
-            row += [repr(float(traj.diagnostics[n][i])) for n in names]
-            writer.writerow(row)
 
 
 def save_snapshot(path, fld: SpectralField, time: float = 0.0) -> None:
@@ -321,7 +303,10 @@ def load_snapshot(path):
     if len(raw) < 25:
         raise ValueError(f"{path}: snapshot header is {len(raw)} bytes, expected 25")
     dim, n, period, time = struct.unpack("<BIdd", raw[4:25])
-    grid = GridSpec(dim=dim, n=n, period=period)
+    try:
+        grid = GridSpec(dim=dim, n=n, period=period)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid snapshot header: {exc}") from None
     expected = 25 + 16 * n**dim
     if len(raw) != expected:
         raise ValueError(f"{path}: snapshot is {len(raw)} bytes, expected {expected}")

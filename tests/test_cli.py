@@ -5,6 +5,8 @@ codes and produced files are tested exactly as a shell user would see them.
 Runs are kept tiny; the acceptance suite owns the full-size checks.
 """
 
+import csv
+import inspect
 import json
 
 import numpy as np
@@ -21,8 +23,11 @@ from fracheatlab.config import (
     config_hash,
 )
 from fracheatlab.cli import main
-from fracheatlab.coefficients import builtin_coefficient, verify_class
+from fracheatlab.coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
+from fracheatlab.ensembles import single_mode
+from fracheatlab.solver import simulate
 from fracheatlab.spectral import GridSpec
+from fracheatlab.thick_sets import SET_BUILDERS, build_set
 
 
 FAST_SIM = [
@@ -173,6 +178,27 @@ def test_simulate_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_trajectory_csv_roundtrip(tmp_path):
+    # a deterministic initial mode makes the library run an exact oracle
+    rc, out = _run(
+        tmp_path, "simulate", *FAST_SIM, "--set", "init.kind=mode",
+        "--set", "set.kind=periodic_slab",
+    )
+    assert rc == 0
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    obs = build_set("periodic_slab", g, 2 * np.pi / 4.0, fraction=0.5)
+    traj = simulate(single_mode(g, (1,)), a, 1.5, 0.1, 0.01, record_every=5, obs_set=obs)
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "l2", "l2_on_E"]
+    assert len(rows) == 1 + len(traj.times)
+    # repr serialization reparses to the exact float
+    expect = zip(traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"])
+    for row, values in zip(rows[1:], expect):
+        assert [float(cell) for cell in row] == list(values)
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("grid.n = 32\ndynamics.T = 0.1\ndynamics.dt = 0.01\n")
@@ -284,7 +310,7 @@ def test_class_verify_rows_match_single_time_checks(tmp_path):
     assert (out / "class_check.csv").read_text().splitlines() == expect
 
 
-def test_config_errors_exit_1(tmp_path):
+def test_config_errors_exit_1(tmp_path, capsys):
     cases = [
         ["simulate", "--set", "grid.n=13"],
         ["simulate", "--set", "no.such.key=1"],
@@ -297,6 +323,41 @@ def test_config_errors_exit_1(tmp_path):
     for argv in cases:
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
+    # a value must have its key's default type: ints and bools exactly,
+    # floats as any int or float
+    for setting in (
+        "grid.n=32.5", "grid.n=true", "coeff.mode=1.5", "run.seed=1e3",
+        "output.snapshot=no", "output.snapshot=1", "dynamics.T=true",
+        "coeff.seed=0.5", "set.radius=false",
+    ):
+        rc = main(["simulate", "--set", setting, "--output", str(tmp_path / "err")])
+        assert rc == 1, setting
+        assert setting.split("=")[0] in capsys.readouterr().err, setting
+
+
+def test_every_builder_parameter_is_a_config_key(tmp_path, capsys):
+    overrides = {}
+    for prefix, registry in (("coeff.", BUILTIN_COEFFICIENTS), ("set.", SET_BUILDERS)):
+        for builder in registry.values():
+            for name, param in inspect.signature(builder).parameters.items():
+                if param.default is not param.empty:
+                    value = 4 if param.default is None else param.default
+                    overrides.setdefault(f"{prefix}{name}", value)
+    assert set(overrides) == {
+        "coeff.value", "coeff.amplitude", "coeff.mode", "coeff.time_freq",
+        "coeff.radius", "coeff.seed", "coeff.fit_alpha_max",
+        "set.fraction", "set.seed", "set.radius",
+    }
+    sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value!r}")]
+    # keys the chosen builders do not take are accepted and dropped
+    rc, out = _run(tmp_path, "simulate", *FAST_SIM, *sets)
+    assert rc == 0
+    resolved = parse_config_text((out / "config.resolved.txt").read_text())
+    assert {key: resolved[key] for key in overrides} == overrides
+    for key in ("coeff.bogus", "coeff.grid", "set.scales"):
+        rc, _ = _run(tmp_path, "simulate", *FAST_SIM, "--set", f"{key}=1", tag=key)
+        assert rc == 1, key
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -1,4 +1,4 @@
-"""Coefficient builders, class budgets, and the weight change of variable."""
+"""Coefficient builders, class budgets, and the reciprocal-weight derivative check."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from fracheatlab.coefficients import (
     BUILTIN_COEFFICIENTS,
     builtin_coefficient,
     verify_class,
-    weight_transform,
     h_s_derivative_check,
 )
 
@@ -179,26 +178,6 @@ def test_verify_class_sees_a_buffer_refilled_in_place():
     rep = verify_class(a, alpha_max=4, t_grid=(0.0, 2.0))
     assert rep.rows[0][1] <= 1.0 < rep.rows[1][1]
     assert not rep.passed and rep.worst_t == 2.0
-
-
-def test_weight_transform_closed_forms():
-    g = GridSpec(1, 64, 8.0)
-    xc = g.x_centered_axes[0]
-    pair = weight_transform(1.0, g)
-    # the zero-order part w*(w-1)*(1+x^2)^(-1/2) vanishes at w = 1
-    assert np.max(np.abs(pair.zero_order)) == 0.0
-    assert np.allclose(pair.drift[0], 2.0 * xc / (1.0 + xc**2))
-    off = weight_transform(0.0, g)
-    assert np.max(np.abs(off.zero_order)) == 0.0
-    assert np.max(np.abs(off.drift[0])) == 0.0
-    pair2 = weight_transform(2.5, g)
-    assert np.allclose(pair2.zero_order, 2.5 * 1.5 / np.sqrt(1.0 + xc**2))
-    # both pieces are bounded uniformly in the period: |x|/(1+x^2) <= 1/2
-    assert np.max(np.abs(pair2.drift[0])) <= 2.0 * 2.5 * 0.5 + 1e-15
-    g2 = GridSpec(2, 32, 8.0)
-    pair3 = weight_transform(1.5, g2)
-    assert pair3.zero_order.shape == (32, 32)
-    assert len(pair3.drift) == 2
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])

@@ -11,8 +11,8 @@ pinned values the rest of the package relies on are frozen here.
 import numpy as np
 import pytest
 
-from fracheatlab.spectral import GridSpec, SpectralField, inverse, project, transform
-from fracheatlab.norms import l2_norm, restricted_l2, strip_sup_norm
+from fracheatlab.spectral import GridSpec, SpectralField, inverse, project
+from fracheatlab.norms import l2_norm, restricted_l2
 from fracheatlab.ensembles import random_analytic_decay, random_band_limited, single_mode
 from fracheatlab.rng import make_generator
 from fracheatlab.thick_sets import ThickSet, build_set
@@ -24,12 +24,9 @@ from fracheatlab.inequality_lab import (
     ls_constant,
     ls_growth_fit,
     radius_estimate,
-    interp_ratio,
-    highlow_threshold,
     telescope_constant,
     spacetime_lift,
     observability_experiment,
-    cell_taylor_suprema,
     smallest_log_affine_dominator,
 )
 
@@ -213,50 +210,6 @@ def test_radius_estimate_failures():
         radius_estimate(steep)
 
 
-def test_interp_ratio_edge_cases():
-    g = GridSpec(1, 32, 2 * np.pi)
-    ind = np.zeros(32, dtype=bool)
-    ind[:16] = True
-    f = single_mode(g, (1,))
-    r = interp_ratio(f, 1.0, ind, 0.5)
-    assert np.isfinite(r) and r > 0
-    zero = SpectralField(g, np.zeros(32, dtype=complex))
-    assert interp_ratio(zero, 1.0, ind, 0.5) == 0.0
-    # mass that never touches the observation set: infinite ratio
-    nothing = np.zeros(32, dtype=bool)
-    assert interp_ratio(f, 1.0, nothing, 0.5) == np.inf
-    with pytest.raises(ValueError):
-        interp_ratio(f, 1.0, ind, 1.5)
-    # theta = 1 reduces to the plain restriction ratio
-    full_ratio = interp_ratio(f, 123.0, ind, 1.0)
-    assert full_ratio == pytest.approx(
-        l2_norm(f) ** 2 / restricted_l2(f, ind) ** 2, rel=1e-12
-    )
-
-
-def test_highlow_threshold_balances():
-    # modest root: check the defining equation directly
-    r = highlow_threshold(c=1.0, kappa=0.5, c_ls=1.0, epsilon=1e-3)
-    lhs = (1 + 1.0 * np.exp(1.0 * r.n0)) * np.exp(
-        -1.0 * r.n0 * np.log(np.e + r.n0) ** 0.5
-    )
-    assert lhs == pytest.approx(1e-3, rel=1e-9)
-    assert r.residual_lo >= 0.0 >= r.residual_hi
-    assert not r.flagged_zero
-    # larger roots overflow any direct evaluation; the bracket signs and
-    # the monotonicity in epsilon still pin the answer
-    big = highlow_threshold(c=0.3, kappa=0.0, c_ls=2.0, epsilon=0.5)
-    small = highlow_threshold(c=0.3, kappa=0.0, c_ls=2.0, epsilon=0.01)
-    assert big.residual_lo >= 0.0 >= big.residual_hi
-    assert small.n0 > big.n0 > 0.0
-    with pytest.raises(ValueError):
-        highlow_threshold(c=0.0, kappa=0.0, c_ls=1.0, epsilon=0.5)
-    with pytest.raises(ValueError):
-        highlow_threshold(c=1.0, kappa=0.0, c_ls=0.5, epsilon=0.5)
-    with pytest.raises(ValueError):
-        highlow_threshold(c=1.0, kappa=0.0, c_ls=1.0, epsilon=1.5)
-
-
 def test_telescope_pinned_values():
     """C = 1, theta = 1/2, delta = 1, T = 1 gives lambda = 3/4 and the
     closed form e^4 on the nose."""
@@ -320,43 +273,6 @@ def test_smallest_log_affine_dominator_minimal():
     assert smallest_log_affine_dominator([1.0], [0.0], c_min=1.0) == 1.0
     with pytest.raises(ValueError):
         smallest_log_affine_dominator([0.0], [1.0])
-
-
-def test_cell_taylor_suprema_covering_and_regression():
-    g = GridSpec(1, 64, 2 * np.pi)
-    rng = make_generator(77, "cell-taylor")
-    fld = random_analytic_decay(g, rng, 0.8)
-    samples = inverse(fld).real
-    m = cell_taylor_suprema(samples, g, sigma=0.3, scale=2 * np.pi / 8, alpha_max=8)
-    assert m.shape == (8,)
-    # frozen values for the seeded field
-    assert float(np.max(m)) == pytest.approx(0.47030753181049384, rel=1e-10)
-    assert float(np.sum(m)) == pytest.approx(3.514444200413595, rel=1e-10)
-    # covering control: cell majorants overlap at most 2 per axis, so the
-    # volume-weighted square sum is dominated by 2^dim times the squared
-    # strip norm at four times sigma (sigma small enough to stay inside
-    # the field's analytic radius)
-    for i in range(6):
-        f = random_analytic_decay(g, make_generator(77, "cov", i), 0.8)
-        samp = inverse(f).real
-        mm = cell_taylor_suprema(samp, g, sigma=0.1, scale=2 * np.pi / 8, alpha_max=12)
-        lhs = float(np.sum(mm**2) * (2 * np.pi / 8))
-        rhs = 2.0 * strip_sup_norm(f, 0.4) ** 2
-        assert lhs <= rhs * (1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        cell_taylor_suprema(samples, g, sigma=0.1, scale=1.0, alpha_max=4)
-
-
-def test_cell_taylor_suprema_2d_covering():
-    g = GridSpec(2, 32, 2 * np.pi)
-    for i in range(3):
-        f = random_analytic_decay(g, make_generator(78, "cov2", i), 0.8)
-        samp = inverse(f).real
-        mm = cell_taylor_suprema(samp, g, sigma=0.08, scale=2 * np.pi / 4, alpha_max=8)
-        assert mm.shape == (16,)
-        lhs = float(np.sum(mm**2) * (2 * np.pi / 4) ** 2)
-        rhs = 4.0 * strip_sup_norm(f, 0.32, y_samples=32) ** 2
-        assert lhs <= rhs * (1.0 + 1e-9)
 
 
 def test_observability_experiment_small_run():

@@ -21,12 +21,10 @@ from fracheatlab.norms import (
     l2_norm,
     weighted_fourier_norm,
     strip_sup_norm,
-    strip_shift_norm,
     asigma_norm,
     asigma_order_sums,
     derivative_sup,
     restricted_l2,
-    weighted_l2,
     smoothing_gain_constant,
 )
 from fracheatlab.coefficients import builtin_coefficient
@@ -82,6 +80,17 @@ def test_strip_norm_single_mode_closed_form():
     assert strip_sup_norm(f, 0.0) == pytest.approx(l2_norm(f))
 
 
+def strip_shift_norm(field, y) -> float:
+    """Oracle: L2 norm of the field shifted by one imaginary displacement y,
+    i.e. the Fourier multiplier exp(y.k) applied before taking l2."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    grid = field.grid
+    if y.shape != (grid.dim,):
+        raise ValueError(f"shift must have {grid.dim} components, got {y.shape}")
+    dot = sum(yj * kj for yj, kj in zip(y, grid.k_axes))
+    return float(np.sqrt(np.sum(np.exp(2.0 * dot) * np.abs(field.coeffs) ** 2)))
+
+
 def test_strip_shift_matches_direct_multiplier():
     g = GridSpec(2, 32, 2 * np.pi)
     rng = make_generator(11, "strip-shift")
@@ -92,6 +101,24 @@ def test_strip_shift_matches_direct_multiplier():
     assert strip_shift_norm(f, y) == pytest.approx(np.linalg.norm(boosted), rel=1e-13)
     with pytest.raises(ValueError):
         strip_shift_norm(f, [0.1])
+
+
+@pytest.mark.parametrize("dim,n,y_samples", [(1, 64, 16), (2, 32, 12)])
+def test_strip_sup_norm_is_max_of_shifted_norms(dim, n, y_samples):
+    """strip_sup_norm is the largest one-shift norm over the documented
+    displacement grid: cell-centered radii times two directions in 1D or
+    y_samples uniform angles in 2D."""
+    g = GridSpec(dim, n, 2 * np.pi)
+    f = random_band_limited(g, make_generator(12, "strip-grid", dim), band=5.0)
+    sigma = 0.6
+    radii = sigma * (np.arange(y_samples) + 0.5) / y_samples
+    if dim == 1:
+        dirs = [(1.0,), (-1.0,)]
+    else:
+        ang = 2 * np.pi * np.arange(y_samples) / y_samples
+        dirs = list(zip(np.cos(ang), np.sin(ang)))
+    oracle = max(strip_shift_norm(f, r * np.asarray(u)) for u in dirs for r in radii)
+    assert strip_sup_norm(f, sigma, y_samples=y_samples) == pytest.approx(oracle, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim,n,band", [(1, 128, 14.0), (2, 32, 6.0)])
@@ -185,17 +212,6 @@ def test_restricted_l2_matches_masked_quadrature():
     assert restricted_l2(f, np.ones(64, dtype=bool)) == pytest.approx(l2_norm(f), rel=1e-12)
     with pytest.raises(ValueError):
         restricted_l2(f, np.ones(32, dtype=bool))
-
-
-def test_weighted_l2_polynomial_weight():
-    g = GridSpec(1, 64, 8.0)
-    rng = make_generator(58, "poly-weight")
-    samples = rng.standard_normal(64)
-    f = transform(g, samples)
-    xc = g.x_centered_axes[0]
-    ref = np.sqrt(np.sum(samples**2 * (1.0 + xc**2) ** 1.5) * g.dx)
-    assert weighted_l2(f, 1.5) == pytest.approx(ref, rel=1e-12)
-    assert weighted_l2(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
 
 
 def test_smoothing_gain_closed_form():

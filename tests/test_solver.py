@@ -7,8 +7,8 @@ convergence-order measurements, which run here at small scale (the
 acceptance suite repeats them on the contract grid).
 """
 
-import csv
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from fracheatlab.solver import (
     step,
     simulate,
     energy_certificate,
-    trajectory_to_csv,
     save_snapshot,
     load_snapshot,
 )
@@ -124,11 +123,8 @@ def test_recording_and_diagnostics():
     u0 = random_band_limited(g, make_generator(45, "diag"), band=6.0)
     ind = np.zeros(32, dtype=bool)
     ind[:16] = True
-    traj = simulate(
-        u0, a, 1.5, 0.2, 0.01, record_every=5, obs_set=ind,
-        extra_diagnostics={"dc": lambda f: abs(f.coeffs.ravel()[0])},
-    )
-    assert set(traj.diagnostics) == {"l2", "l2_on_E", "dc"}
+    traj = simulate(u0, a, 1.5, 0.2, 0.01, record_every=5, obs_set=ind)
+    assert list(traj.diagnostics) == ["l2", "l2_on_E"]
     assert len(traj.times) == len(traj.diagnostics["l2"])
     assert np.all(traj.diagnostics["l2_on_E"] <= traj.diagnostics["l2"] + 1e-15)
     # record_every=5 on 20 steps: initial + 4 records
@@ -167,21 +163,13 @@ def test_energy_certificate_accepts_and_rejects():
     assert t1 < t2
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
+def test_energy_certificate_refuses_a_batch():
     g = GridSpec(1, 32, 2 * np.pi)
-    a = builtin_coefficient("zero", g)
-    u0 = single_mode(g, (1,))
-    traj = simulate(u0, a, 2.0, 0.1, 0.02)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "l2"]
-    assert len(rows) == 1 + len(traj.times)
-    # repr serialization reparses to the exact float
-    for row, t, v in zip(rows[1:], traj.times, traj.diagnostics["l2"]):
-        assert float(row[0]) == t
-        assert float(row[1]) == v
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    traj = simulate(_batch(make_ensemble(g, 3, seed=46)), a, 1.5, 0.1, 0.02)
+    with pytest.raises(ValueError, match="batch of 3"):
+        energy_certificate(traj, a)
+    assert energy_certificate(traj.member(1), a).passed
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -214,6 +202,10 @@ def test_snapshot_rejects_wrong_lengths_and_batches(tmp_path):
         ("one trailing byte", raw + b"\x00"),
         ("header only", raw[:25]),
         ("short header", raw[:12]),
+        ("dim 3", raw[:4] + struct.pack("<BIdd", 3, 8, 2 * np.pi, 0.0) + raw[25:]),
+        ("odd n", raw[:4] + struct.pack("<BIdd", 1, 9, 2 * np.pi, 0.0) + raw[25:]),
+        ("zero period", raw[:4] + struct.pack("<BIdd", 1, 8, 0.0, 0.0) + raw[25:]),
+        ("negative period", raw[:4] + struct.pack("<BIdd", 1, 8, -1.0, 0.0) + raw[25:]),
     ):
         bad = tmp_path / f"{label}.snap"
         bad.write_bytes(data)
@@ -304,15 +296,14 @@ def test_batch_equals_single_runs():
     ind = np.zeros(32, dtype=bool)
     ind[:12] = True
     fields = make_ensemble(g, 4, seed=49, kind="mixed")
-    extra = {"dc": lambda f: abs(f.coeffs[0])}
-    kw = dict(record_every=3, obs_set=ind, extra_diagnostics=extra)
+    kw = dict(record_every=3, obs_set=ind)
     batched = simulate(_batch(fields), a, 1.5, 0.3, 0.02, **kw)
     assert batched.diagnostics["l2"].shape == (4, len(batched.times))
     for i, u0 in enumerate(fields):
         single = simulate(u0, a, 1.5, 0.3, 0.02, **kw)
         member = batched.member(i)
         assert np.array_equal(member.times, single.times)
-        assert set(member.diagnostics) == set(single.diagnostics) == {"l2", "l2_on_E", "dc"}
+        assert set(member.diagnostics) == set(single.diagnostics) == {"l2", "l2_on_E"}
         for name, values in single.diagnostics.items():
             assert np.array_equal(member.diagnostics[name], values)
         for got, want in zip(member.states, single.states, strict=True):
