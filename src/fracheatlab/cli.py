@@ -141,6 +141,9 @@ _EXPERIMENT_DEFAULTS = {
 # int subclass, so a bool value is accepted for bool keys only
 _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
+# the smallest value a numeric key may take
+_MINIMUMS = {"interp.theta_count": 1, "ls.band_min": 0.0}
+
 
 def _key_defaults(experiment: str) -> dict:
     """Default of every key the experiment accepts: the builders' keyword
@@ -170,6 +173,8 @@ def _resolve_config(experiment: str, config_path, sets) -> dict:
         types = _VALUE_TYPES.get(kind)
         if types and (isinstance(value, bool) != (bool in types) or not isinstance(value, types)):
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise ConfigError(f"{key} must be >= {_MINIMUMS[key]}, got {value!r}")
     return cfg
 
 
@@ -342,14 +347,18 @@ def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
 
 def run_ls_scan(cfg, outdir: Path, assert_mode: bool) -> int:
     grid = _grid_from(cfg)
-    obs = _set_from(cfg, grid)
-    if obs is None:
-        raise ConfigError("ls-scan needs an observation set (set.kind != none)")
     lo = float(cfg["ls.band_min"])
     hi = float(cfg["ls.band_max"])
     step = float(cfg["ls.band_step"])
     if step <= 0 or hi < lo:
         raise ConfigError("ls.band_* must satisfy band_min <= band_max, band_step > 0")
+    if hi > grid.nyquist_radius + 1e-12:
+        raise ConfigError(
+            f"ls.band_max {hi!r} exceeds the lattice Nyquist radius {grid.nyquist_radius!r}"
+        )
+    obs = _set_from(cfg, grid)
+    if obs is None:
+        raise ConfigError("ls-scan needs an observation set (set.kind != none)")
     bands = list(np.arange(lo, hi + 0.5 * step, step))
     try:
         fit = ls_growth_fit(obs, bands)

@@ -5,8 +5,9 @@ Everything here is a measurement on the discrete model.  The module
 computes:
 
 * sharp restriction constants for band-limited fields on an observation
-  set, as inverse smallest eigenvalues of a Hermitian Gram matrix, plus
-  their growth fit in the band radius;
+  set, as inverse smallest eigenvalues of the restriction Gram matrix,
+  written real symmetric on the band's cosine/sine basis and solved densely,
+  plus their growth fit in the band radius;
 * analytic-radius estimates from the decay of per-shell spectral maxima;
 * interpolation log-ratios between the full norm, the restricted norm,
   and an earlier norm over pairs of recorded times;
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .spectral import GridSpec, SpectralField, _require_single
+from .spectral import GridSpec, SpectralField, _conjugate_partner, _require_single
 from .solver import simulate
 
 __all__ = [
@@ -77,67 +78,69 @@ def _band_modes(grid: GridSpec, band: float) -> np.ndarray:
     return pairs[order]
 
 
-def _gram_matrix(obs, band: float) -> np.ndarray:
+def _restriction_gram(obs, band: float) -> np.ndarray:
+    """Gram matrix of the restriction to obs on a real basis of the band.
+
+    The band's exponentials e_m have the Hermitian Gram g(m_c - m_r), with g
+    the normalized Fourier transform of the indicator.  The indicator is
+    real, so g(-d) = conj g(d), and negation mod n maps the band onto
+    itself.  On the basis of the self-conjugate modes (m = -m mod n), the
+    cosines (e_m + e_-m)/sqrt(2) and the sines i(e_m - e_-m)/sqrt(2), one
+    per pair, the Gram is real symmetric with the same spectrum:
+
+        cos/cos  Re g(k-l) + Re g(k+l)
+        cos/sin  Im g(k-l) - Im g(k+l)
+        sin/sin  Re g(k-l) - Re g(k+l)
+
+    for the row mode k and column mode l; a self-conjugate mode is its own
+    cosine scaled by 1/sqrt(2).  g is made exactly Hermitian first, so the
+    matrix is exactly symmetric.
+    """
     grid = obs.grid
+    n, dim = grid.n, grid.dim
+    h = np.fft.fftn(obs.indicator.astype(float)) * (grid.dx / grid.period) ** dim
+    g = 0.5 * (h + h[_conjugate_partner(grid)].conj())
+    # g tiled over [0, 2n)^dim: the difference or sum d of two band modes has
+    # every component in [-n, n), so it sits at flat index d @ weights + offset
+    tile = np.tile(g, (2,) * dim)
+    re, im = tile.real.ravel(), tile.imag.ravel()
+    weights = (2 * n) ** np.arange(dim - 1, -1, -1)
+    offset = n * int(weights.sum())
     modes = _band_modes(grid, band)
-    f_hat = np.fft.fftn(obs.indicator.astype(float))
-    norm = (grid.dx / grid.period) ** grid.dim
-    if grid.dim == 1:
-        d = (modes[None, :, 0] - modes[:, None, 0]) % grid.n
-        gram = f_hat[d]
-    else:
-        dx_ = (modes[None, :, 0] - modes[:, None, 0]) % grid.n
-        dy_ = (modes[None, :, 1] - modes[:, None, 1]) % grid.n
-        gram = f_hat[dx_, dy_]
-    gram = gram * norm
-    return 0.5 * (gram + gram.conj().T)
+    # negation mod n keeps a -n/2 component and flips the others
+    neg = np.where(modes == -(n // 2), modes, -modes)
+    key, neg_key = modes @ weights, neg @ weights
+    first = key >= neg_key  # the self-conjugate modes and one mode per pair
+    cos, sin = key[first], key[key > neg_key]
+    scale = np.where(cos == neg_key[first], np.sqrt(0.5), 1.0)
+    rows_c, rows_s = cos[:, None] + offset, sin[:, None] + offset
+    nc = len(cos)
+    gram = np.empty((len(modes), len(modes)), order="F")
+    np.add(re[rows_c - cos], re[rows_c + cos], out=gram[:nc, :nc])
+    np.subtract(im[rows_c - sin], im[rows_c + sin], out=gram[:nc, nc:])
+    np.subtract(re[rows_s - sin], re[rows_s + sin], out=gram[nc:, nc:])
+    gram[nc:, :nc] = gram[:nc, nc:].T
+    gram[:nc] *= scale[:, None]
+    gram[:, :nc] *= scale
+    return gram
 
 
-def _lambda_min_inverse_power(gram: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue by shift-inverted power iteration at zero."""
-    dim = gram.shape[0]
-    jitter = 0.0
-    for attempt in range(6):
-        try:
-            cho = scipy.linalg.cho_factor(
-                gram + jitter * np.eye(dim), lower=True, check_finite=False
-            )
-            break
-        except np.linalg.LinAlgError:
-            jitter = 10.0 * jitter if jitter else 1e-15
-    else:
-        raise ThinSetError("Gram matrix is numerically singular")
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    lam = np.inf
-    for _ in range(500):
-        y = scipy.linalg.cho_solve(cho, x, check_finite=False)
-        y /= np.linalg.norm(y)
-        new_lam = float(np.real(np.vdot(y, gram @ y)))
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-300):
-            return new_lam
-        lam, x = new_lam, y
-    return lam
-
-
-def ls_constant(obs, band: float, dense_limit: int = 4096) -> float:
+def ls_constant(obs, band: float) -> float:
     """Sharp restriction constant for the band-limited space on obs.
 
     For every field f with spectrum in |k| <= band,
-    ||f||^2 <= C * ||f||^2_E with C the value returned here; the bound is
-    attained by the eigenvector of the smallest Gram eigenvalue.  Raises
-    ThinSetError when that eigenvalue sits below the working-precision
-    floor (the set is too thin at this band).
+    ||f||^2 <= C * ||f||^2_E with C the value returned here: the inverse
+    smallest eigenvalue of the real symmetric restriction Gram, taken by one
+    dense eigensolve.  The bound is attained by the eigenvector of that
+    eigenvalue.  Raises ThinSetError when the eigenvalue sits below the
+    working-precision floor (the set is too thin at this band).
     """
-    gram = _gram_matrix(obs, band)
-    dim = gram.shape[0]
-    if dim <= dense_limit:
-        lam_min = float(
-            scipy.linalg.eigvalsh(gram, subset_by_index=[0, 0], check_finite=False)[0]
-        )
-    else:
-        lam_min = _lambda_min_inverse_power(gram)
+    gram = _restriction_gram(obs, band)
+    # the Gram is Fortran-ordered and used once, so LAPACK overwrites it
+    # instead of copying it
+    lam_min = float(scipy.linalg.eigvalsh(
+        gram, subset_by_index=[0, 0], check_finite=False, overwrite_a=True
+    )[0])
     if lam_min <= _THIN_EIGENVALUE:
         raise ThinSetError(
             f"set too thin at band {band}: smallest Gram eigenvalue "

@@ -22,6 +22,7 @@ from fracheatlab.config import (
     canonical_text,
     config_hash,
 )
+from fracheatlab import cli
 from fracheatlab.cli import main
 from fracheatlab.coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from fracheatlab.ensembles import single_mode
@@ -310,7 +311,7 @@ def test_class_verify_rows_match_single_time_checks(tmp_path):
     assert (out / "class_check.csv").read_text().splitlines() == expect
 
 
-def test_config_errors_exit_1(tmp_path, capsys):
+def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     cases = [
         ["simulate", "--set", "grid.n=13"],
         ["simulate", "--set", "no.such.key=1"],
@@ -333,6 +334,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
         rc = main(["simulate", "--set", setting, "--output", str(tmp_path / "err")])
         assert rc == 1, setting
         assert setting.split("=")[0] in capsys.readouterr().err, setting
+    # out-of-range counts and band limits are rejected before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work on an invalid config")
+
+    monkeypatch.setattr(cli, "simulate", no_work)
+    monkeypatch.setattr(cli, "ls_growth_fit", no_work)
+    for key, argv in (
+        ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=0"]),
+        ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=-3"]),
+        ("ls.band_min", ["ls-scan", "--set", "ls.band_min=-1.0"]),
+        ("ls.band_max", ["ls-scan", "--set", "ls.band_max=1e9"]),
+        ("ls.band_max", ["ls-scan", "--set", "grid.n=16", "--set", "ls.band_max=60"]),
+    ):
+        rc = main(argv + ["--output", str(tmp_path / "err")])
+        assert rc == 1, argv
+        assert key in capsys.readouterr().err, argv
 
 
 def test_every_builder_parameter_is_a_config_key(tmp_path, capsys):

@@ -3,7 +3,9 @@
 The restriction constant has an independent oracle: sample every band mode
 explicitly, form the restricted Gram by direct matrix multiplication, and
 take the smallest eigenvalue with a dense solver.  The FFT-indexed
-implementation must agree to near machine precision.  The telescoping and
+implementation must agree to near machine precision, and its real
+cosine/sine-basis Gram must give the sampled Gram's quadratic form on random
+complex vectors.  The telescoping and
 lift constants are checked against their defining identities, and the
 pinned values the rest of the package relies on are frozen here.
 """
@@ -21,6 +23,7 @@ from fracheatlab.inequality_lab import (
     ThinSetError,
     InsufficientDecayError,
     _interp_pairs,
+    _restriction_gram,
     ls_constant,
     ls_growth_fit,
     radius_estimate,
@@ -31,9 +34,9 @@ from fracheatlab.inequality_lab import (
 )
 
 
-def _dense_ls_oracle(obs, band):
-    """Restriction constant by explicit mode sampling; no FFT, no shared
-    code with the implementation."""
+def _dense_gram(obs, band):
+    """Band modes in lexicographic order and their complex Gram on obs, by
+    explicit mode sampling; no FFT, no shared code with the implementation."""
     g = obs.grid
     half = g.n // 2
     unit = 2 * np.pi / g.period
@@ -54,8 +57,12 @@ def _dense_ls_oracle(obs, band):
             phase = phase + m[d] * pts[:, d]
         rows.append(np.exp(2j * np.pi * phase / g.n))
     B = np.array(rows)
-    gram = (B @ B.conj().T) * g.dx**g.dim / g.volume
-    lam = np.linalg.eigvalsh(gram)[0]
+    return ms, (B @ B.conj().T) * g.dx**g.dim / g.volume
+
+
+def _dense_ls_oracle(obs, band):
+    """Restriction constant from the explicitly sampled Gram."""
+    lam = np.linalg.eigvalsh(_dense_gram(obs, band)[1])[0]
     return 1.0 / lam
 
 
@@ -143,14 +150,87 @@ def test_ls_growth_fit_skips_thin_bands():
     assert np.isfinite(rep.slope) and rep.slope > 0.0
 
 
-def test_matched_inverse_power_path():
-    """Large mode counts take the Cholesky inverse-power branch; force it
-    with a tiny dense_limit and compare against the dense answer."""
-    g = GridSpec(1, 32, 1.0)
-    obs = build_set("periodic_slab", g, scale=0.25, fraction=0.5)
-    dense = ls_constant(obs, 40.0)
-    iterative = ls_constant(obs, 40.0, dense_limit=2)
-    assert iterative == pytest.approx(dense, rel=1e-7)
+def _random_set(grid, fraction, stream):
+    """A random set holding the first grid point and missing the last."""
+    rng = make_generator(504, stream)
+    ind = rng.random(grid.shape) < fraction
+    ind.flat[0], ind.flat[-1] = True, False
+    return ThickSet.from_indicator(grid, ind, 0.25)
+
+
+def test_ls_constant_matches_dense_oracle_at_nyquist():
+    # band = nyquist_radius takes every lattice mode, the self-conjugate
+    # ones with a -n/2 component included, so only the full torus stays
+    # observable; in 2D the axis Nyquist band adds (-n/2, 0) and (0, -n/2)
+    # without the corner
+    for dim, n in ((1, 16), (2, 8)):
+        g = GridSpec(dim, n, 1.0)
+        full = build_set("full", g, scale=0.25)
+        assert ls_constant(full, g.nyquist_radius) == pytest.approx(
+            _dense_ls_oracle(full, g.nyquist_radius), rel=1e-10
+        )
+        with pytest.raises(ThinSetError):
+            ls_constant(_random_set(g, 0.9, f"thin{dim}"), g.nyquist_radius)
+    g1 = GridSpec(1, 16, 1.0)
+    obs1 = _random_set(g1, 1.0, "below1d")  # every point but the last
+    band = g1.nyquist_axis - 2 * np.pi  # every mode but -n/2
+    assert ls_constant(obs1, band) == pytest.approx(_dense_ls_oracle(obs1, band), rel=1e-10)
+    g2 = GridSpec(2, 8, 1.0)
+    obs2 = _random_set(g2, 0.97, "axis2d")
+    for band in (g2.nyquist_axis, 0.5 * (g2.nyquist_axis + g2.nyquist_radius)):
+        impl = ls_constant(obs2, band)
+        assert impl == pytest.approx(_dense_ls_oracle(obs2, band), rel=1e-10)
+
+
+def _negate(m, n):
+    """Lattice negation mod n: a -n/2 component stays, the others flip."""
+    return tuple(c if c == -(n // 2) else -c for c in m)
+
+
+def _real_basis_image(ms, n, v):
+    """Coordinates w = U^H v of v on the documented real basis: the
+    self-conjugate modes and, in band order, cosines (e_m + e_-m)/sqrt(2) of
+    the lexicographically larger mode of each pair, then the sines
+    i(e_m - e_-m)/sqrt(2)."""
+    at = {m: v[i] for i, m in enumerate(ms)}
+    cos = [m for m in ms if m >= _negate(m, n)]
+    sin = [m for m in ms if m > _negate(m, n)]
+    w = [
+        at[m] if m == _negate(m, n) else (at[m] + at[_negate(m, n)]) / np.sqrt(2)
+        for m in cos
+    ]
+    w += [-1j * (at[m] - at[_negate(m, n)]) / np.sqrt(2) for m in sin]
+    return np.array(w)
+
+
+def test_real_gram_quadratic_form_matches_complex_gram():
+    """The real cos/sin-basis Gram is the complex Gram in an orthonormal
+    basis: v^H G v = w^H G_real w for random complex v and its real-basis
+    image w, which pins the orientation (G^T = conj G gives another form),
+    and w is real for a real field (v(-m) = conj v(m))."""
+    rng = np.random.default_rng(505)
+    for dim, n in ((1, 16), (2, 8)):
+        g = GridSpec(dim, n, 1.0)
+        obs = _random_set(g, 0.6, f"form{dim}")
+        for band in (0.0, 0.4 * g.nyquist_axis, g.nyquist_axis, g.nyquist_radius):
+            ms, gram = _dense_gram(obs, band)
+            real = _restriction_gram(obs, band)
+            assert real.dtype == np.float64 and np.array_equal(real, real.T)
+            partner = [ms.index(_negate(m, n)) for m in ms]
+            for _ in range(4):
+                v = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
+                form = np.vdot(v, gram @ v)
+                assert abs(form.imag) <= 1e-12 * abs(form)
+                w = _real_basis_image(ms, n, v)
+                assert np.vdot(w, real @ w).real == pytest.approx(form.real, rel=1e-12)
+                if band > 0:
+                    assert np.vdot(v, gram.T @ v).real != pytest.approx(form.real, rel=1e-6)
+                u = 0.5 * (v + v[partner].conj())
+                w = _real_basis_image(ms, n, u)
+                assert np.max(np.abs(w.imag)) <= 1e-15
+                assert w.real @ real @ w.real == pytest.approx(
+                    np.vdot(u, gram @ u).real, rel=1e-12
+                )
 
 
 def test_radius_estimate_recovers_planted_decay():
