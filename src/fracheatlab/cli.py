@@ -143,6 +143,8 @@ _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 # the smallest value a numeric key may take
 _MINIMUMS = {"interp.theta_count": 1, "ls.band_min": 0.0}
+# the most bands one ls-scan computes, each a dense eigensolve
+_MAX_BANDS = 10_000
 
 
 def _key_defaults(experiment: str) -> dict:
@@ -356,10 +358,14 @@ def run_ls_scan(cfg, outdir: Path, assert_mode: bool) -> int:
         raise ConfigError(
             f"ls.band_max {hi!r} exceeds the lattice Nyquist radius {grid.nyquist_radius!r}"
         )
+    # bands lo + i*step <= hi; the slack keeps a band that lands on hi up to round-off
+    spacings = (hi - lo) / step + 1e-9
+    if not spacings < _MAX_BANDS:
+        raise ConfigError(f"ls.band_step {step!r} gives more than {_MAX_BANDS} bands")
     obs = _set_from(cfg, grid)
     if obs is None:
         raise ConfigError("ls-scan needs an observation set (set.kind != none)")
-    bands = list(np.arange(lo, hi + 0.5 * step, step))
+    bands = list(np.arange(lo, hi + 0.5 * step, step)[: int(spacings) + 1])
     try:
         fit = ls_growth_fit(obs, bands)
     except ValueError as exc:

@@ -77,10 +77,18 @@ class ExpLogLogWeight:
         return self.c * k_mag * np.log(np.e + k_mag) ** (1.0 - self.kappa)
 
 
-def l2_norm(field: SpectralField) -> float:
-    """L2(torus) norm; equals the Euclidean norm of the coefficients."""
-    _require_single(field, "l2_norm")
-    return float(np.linalg.norm(field.coeffs))
+def _per_member(field: SpectralField, arrays, reduce):
+    """reduce of each member's array, a float for a single field; one call per
+    member, since one reduction over the whole batch rounds differently."""
+    if not field.batched:
+        return float(reduce(arrays))
+    return np.array([reduce(a) for a in arrays])
+
+
+def l2_norm(field: SpectralField):
+    """L2(torus) norm; equals the Euclidean norm of the coefficients.  A
+    batch gives one norm per member."""
+    return _per_member(field, field.coeffs, np.linalg.norm)
 
 
 def weighted_fourier_norm(field: SpectralField, weight) -> float:
@@ -119,6 +127,7 @@ def strip_sup_norm(field: SpectralField, sigma: float, y_samples: int = 64) -> f
     convex in y the true supremum sits on the boundary |y| = sigma;
     the grid max therefore approaches it from below as y_samples grows.
     """
+    _require_single(field, "strip_sup_norm")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if y_samples < 1:
@@ -214,14 +223,14 @@ def _indicator_of(obs) -> np.ndarray:
     return np.asarray(ind, dtype=bool)
 
 
-def restricted_l2(field: SpectralField, obs) -> float:
+def restricted_l2(field: SpectralField, obs):
     """Quadrature L2 norm of the field over an observation set.
 
     ``obs`` is a boolean indicator array on the grid or any object exposing
     one through an ``indicator`` attribute.  Never exceeds l2_norm(field)
-    because the discrete Plancherel identity is exact.
+    because the discrete Plancherel identity is exact.  A batch gives one
+    norm per member from a single inverse transform of the whole batch.
     """
-    _require_single(field, "restricted_l2")
     ind = _indicator_of(obs)
     grid = field.grid
     if ind.shape != grid.shape:
@@ -229,8 +238,7 @@ def restricted_l2(field: SpectralField, obs) -> float:
             f"indicator shape {ind.shape} does not match grid shape {grid.shape}"
         )
     u = inverse(field)
-    sq = np.sum(np.abs(u[ind]) ** 2) * grid.cell_volume
-    return float(np.sqrt(sq))
+    return _per_member(field, u, lambda v: np.sqrt(np.sum(np.abs(v[ind]) ** 2) * grid.cell_volume))
 
 
 def smoothing_gain_constant(s: float) -> float:

@@ -139,7 +139,8 @@ class Trajectory:
     final time), ``states`` the corresponding spectral fields, and
     ``diagnostics`` one float array per recorded quantity ('l2' is always
     present; 'l2_on_E' appears when an observation set was attached).  A
-    batched run stores batched states and one row of diagnostics per member.
+    batched run stores batched states and one row of diagnostics per member,
+    each record's values computed from the whole batch at once.
     """
 
     grid: GridSpec
@@ -184,8 +185,9 @@ def simulate(
     The last step is shortened when dt does not divide T, so the final
     recorded time is exactly t0 + T.  Non-finite states abort with
     IntegrationError naming the offending step (and member, for a batch).
-    A batched u0 advances every member with one step call per step, and the
-    diagnostics are evaluated member by member.
+    A batched u0 advances every member with one step call per step, and each
+    diagnostic is one call on the whole batch per record (one inverse
+    transform for 'l2_on_E').
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -205,10 +207,9 @@ def simulate(
         times.append(t)
         if store_states:
             states.append(f)
-        members = [f.with_coeffs(c) for c in f.coeffs] if f.batched else [f]
-        diag["l2"].append([l2_norm(g) for g in members])
+        diag["l2"].append(l2_norm(f))
         if obs_set is not None:
-            diag["l2_on_E"].append([restricted_l2(g, obs_set) for g in members])
+            diag["l2_on_E"].append(restricted_l2(f, obs_set))
 
     n_full = int(np.floor(T / dt + 1e-12))
     remainder = T - n_full * dt
@@ -238,7 +239,7 @@ def simulate(
         dt=float(dt),
         times=np.asarray(times, dtype=float),
         states=states,
-        diagnostics=rows if u0.batched else {k: v[0] for k, v in rows.items()},
+        diagnostics=rows,
     )
 
 

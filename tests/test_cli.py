@@ -245,6 +245,17 @@ def test_ls_scan(tmp_path):
     assert "slope" in summary
 
 
+def test_ls_scan_bands_stop_at_band_max(tmp_path):
+    # 0 + 2*30 would pass both band_max 50 and the Nyquist radius 50.27
+    rc, out = _run(
+        tmp_path, "ls-scan", "--set", "grid.n=16",
+        "--set", "ls.band_max=50.0", "--set", "ls.band_step=30.0",
+    )
+    assert rc == 0
+    rows = (out / "ls_constants.csv").read_text().strip().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "30.0"]
+
+
 def test_interp_scan(tmp_path):
     rc, out = _run(
         tmp_path, "interp-scan", *FAST_SIM,
@@ -346,6 +357,8 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("ls.band_min", ["ls-scan", "--set", "ls.band_min=-1.0"]),
         ("ls.band_max", ["ls-scan", "--set", "ls.band_max=1e9"]),
         ("ls.band_max", ["ls-scan", "--set", "grid.n=16", "--set", "ls.band_max=60"]),
+        ("ls.band_step", ["ls-scan", "--set", "ls.band_step=1e-9"]),
+        ("ls.band_step", ["ls-scan", "--set", "ls.band_step=1e-300"]),
     ):
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv

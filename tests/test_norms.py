@@ -234,17 +234,54 @@ def _pair_batch(g):
     return SpectralField(g, np.stack([f.coeffs, 2.0 * f.coeffs]))
 
 
-def test_l2_norm_refuses_a_batch():
-    with pytest.raises(ValueError, match="batch"):
-        l2_norm(_pair_batch(GridSpec(1, 32, 2 * np.pi)))
+def _member_batch(g, ind):
+    """Three members: a band-limited field, twice it, and a field whose
+    samples vanish on the set."""
+    rng = make_generator(613, "member-batch", g.dim)
+    f = random_band_limited(g, rng, band=6.0)
+    off = transform(g, np.where(ind, 0.0, rng.standard_normal(g.shape)))
+    return SpectralField(g, np.stack([f.coeffs, 2.0 * f.coeffs, off.coeffs]))
 
 
-def test_restricted_l2_refuses_a_batch():
-    g = GridSpec(2, 16, 2 * np.pi)
-    with pytest.raises(ValueError, match="batch"):
-        restricted_l2(_pair_batch(g), np.ones(g.shape, dtype=bool))
+def _batch_cases():
+    g1 = GridSpec(1, 32, 2 * np.pi)
+    ind1 = np.zeros(g1.shape, dtype=bool)
+    ind1[5:20] = True
+    g2 = GridSpec(2, 16, 2 * np.pi)
+    ind2 = make_generator(614, "member-set").random(g2.shape) < 0.4
+    return [(g1, ind1), (g2, ind2)]
+
+
+def test_l2_norm_batch_equals_member_calls():
+    for g, ind in _batch_cases():
+        batch = _member_batch(g, ind)
+        want = [l2_norm(SpectralField(g, c)) for c in batch.coeffs]
+        assert all(type(w) is float for w in want)
+        got = l2_norm(batch)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == want
+
+
+def test_restricted_l2_batch_equals_member_calls():
+    for g, ind in _batch_cases():
+        batch = _member_batch(g, ind)
+        want = [restricted_l2(SpectralField(g, c), ind) for c in batch.coeffs]
+        assert all(type(w) is float for w in want)
+        got = restricted_l2(batch, ind)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == want
+        # the third member vanishes on the set, up to transform round-off
+        assert 0.0 < want[1] and want[2] < 1e-13 * l2_norm(batch)[2]
+        with pytest.raises(ValueError, match="indicator shape"):
+            restricted_l2(batch, np.ones(8, dtype=bool))
 
 
 def test_weighted_fourier_norm_refuses_a_batch():
     with pytest.raises(ValueError, match="batch"):
         weighted_fourier_norm(_pair_batch(GridSpec(1, 32, 2 * np.pi)), ExpLinearWeight(0.5))
+
+
+def test_strip_sup_norm_refuses_a_batch():
+    for sigma in (0.0, 0.5):
+        with pytest.raises(ValueError, match="batch"):
+            strip_sup_norm(_pair_batch(GridSpec(1, 32, 2 * np.pi)), sigma)

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from fracheatlab import solver
+from fracheatlab import norms, solver
 from fracheatlab.spectral import GridSpec, SpectralField, transform, semigroup_apply
 from fracheatlab.ensembles import make_ensemble, random_band_limited, single_mode
 from fracheatlab.norms import l2_norm
@@ -346,6 +346,30 @@ def test_phi_weights_built_once_per_step_size(monkeypatch):
     assert calls == {"phi1": 1, "phi2": 1}
     simulate(u0, a, 1.5, 0.25, 0.02)  # twelve steps of 0.02 and one of 0.01
     assert calls == {"phi1": 3, "phi2": 3}
+
+
+def test_batched_records_take_one_transform_each(monkeypatch):
+    # one diagnostic call, and so one inverse transform, per recorded time
+    # for the whole batch, not one per member
+    calls = {"l2_norm": 0, "restricted_l2": 0, "inverse": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(norms, name, counting(name, getattr(norms, name)))
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    ind = np.zeros(32, dtype=bool)
+    ind[:12] = True
+    u0 = _batch(make_ensemble(g, 5, seed=53))
+    traj = simulate(u0, a, 1.5, 0.2, 0.02, record_every=2, obs_set=ind)
+    assert len(traj.times) == 6
+    assert calls == {"l2_norm": 6, "restricted_l2": 6, "inverse": 6}
+    assert traj.diagnostics["l2_on_E"].shape == (5, 6)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
