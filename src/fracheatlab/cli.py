@@ -141,8 +141,12 @@ _EXPERIMENT_DEFAULTS = {
 # int subclass, so a bool value is accepted for bool keys only
 _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
-# the smallest value a numeric key may take
-_MINIMUMS = {"interp.theta_count": 1, "ls.band_min": 0.0}
+# the closed range a numeric key may take; the class budgets divide by
+# alpha!, and 171! does not fit in a float
+_RANGES = {
+    "interp.theta_count": (1, np.inf), "ls.band_min": (0.0, np.inf), "class.rel_tol": (0.0, np.inf),
+    "class.alpha_max": (0, 170), "coeff.fit_alpha_max": (0, 170),
+}
 # the most bands one ls-scan computes, each a dense eigensolve
 _MAX_BANDS = 10_000
 
@@ -175,8 +179,11 @@ def _resolve_config(experiment: str, config_path, sets) -> dict:
         types = _VALUE_TYPES.get(kind)
         if types and (isinstance(value, bool) != (bool in types) or not isinstance(value, types)):
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-        if key in _MINIMUMS and value < _MINIMUMS[key]:
-            raise ConfigError(f"{key} must be >= {_MINIMUMS[key]}, got {value!r}")
+        if key in _RANGES:
+            lo, hi = _RANGES[key]
+            typed = isinstance(value, _VALUE_TYPES[type(lo)]) and not isinstance(value, bool)
+            if not typed or not lo <= value <= hi:
+                raise ConfigError(f"{key} {value!r} is not {type(lo).__name__} in [{lo}, {hi}]")
     return cfg
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .spectral import GridSpec, SpectralField, _conjugate_partner, _require_single
 from .solver import simulate
@@ -135,6 +134,8 @@ def ls_constant(obs, band: float) -> float:
     eigenvalue.  Raises ThinSetError when the eigenvalue sits below the
     working-precision floor (the set is too thin at this band).
     """
+    # imported here, its only use, so the CLI starts without it
+    import scipy.linalg
     gram = _restriction_gram(obs, band)
     # the Gram is Fortran-ordered and used once, so LAPACK overwrites it
     # instead of copying it

@@ -8,6 +8,10 @@ Runs are kept tiny; the acceptance suite owns the full-size checks.
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +355,7 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "simulate", no_work)
     monkeypatch.setattr(cli, "ls_growth_fit", no_work)
+    monkeypatch.setattr(cli, "verify_class", no_work)
     for key, argv in (
         ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=0"]),
         ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=-3"]),
@@ -359,10 +364,28 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("ls.band_max", ["ls-scan", "--set", "grid.n=16", "--set", "ls.band_max=60"]),
         ("ls.band_step", ["ls-scan", "--set", "ls.band_step=1e-9"]),
         ("ls.band_step", ["ls-scan", "--set", "ls.band_step=1e-300"]),
+        # 171! overflows the float class budgets
+        ("class.alpha_max", ["class-verify", "--set", "class.alpha_max=-1"]),
+        ("class.alpha_max", ["class-verify", "--set", "class.alpha_max=171"]),
+        ("class.rel_tol", ["class-verify", "--set", "class.rel_tol=-1.0"]),
+        ("coeff.fit_alpha_max", ["class-verify", "--set", "coeff.name=fourier_decay",
+                                 "--set", "coeff.fit_alpha_max=-1"]),
+        ("coeff.fit_alpha_max", ["class-verify", "--set", "coeff.name=fourier_decay",
+                                 "--set", "coeff.fit_alpha_max=171"]),
     ):
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
         assert key in capsys.readouterr().err, argv
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only ls_constant needs it, and it imports it on first use
+    code = "import sys, fracheatlab.cli; print('scipy.linalg' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_every_builder_parameter_is_a_config_key(tmp_path, capsys):

@@ -7,6 +7,7 @@ two is the property the acceptance suite measures at scale; here it runs on
 small grids in both dimensions.
 """
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -25,6 +26,7 @@ from fracheatlab.norms import (
     asigma_order_sums,
     derivative_sup,
     restricted_l2,
+    _multi_indices,
     smoothing_gain_constant,
 )
 from fracheatlab.coefficients import builtin_coefficient
@@ -154,7 +156,8 @@ def test_derivative_sup_exact_on_cosine():
 
 
 def _derivative_sup_reference(g, samples, alpha):
-    """Per-multi-index oracle: a fresh forward transform for every alpha."""
+    """Per-multi-index oracle: a fresh forward transform and a full inverse
+    for every alpha."""
     hat = np.fft.fftn(np.asarray(samples, dtype=float))
     for a_j, k_j in zip(alpha, g.k_axes):
         if a_j:
@@ -162,25 +165,68 @@ def _derivative_sup_reference(g, samples, alpha):
     return float(np.max(np.abs(np.fft.ifftn(hat).real)))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
-def test_derivative_sup_batched_matches_per_alpha(dim, n):
+@pytest.mark.parametrize("dim,n,order,source", [
+    pytest.param(1, 64, 8, "noise", id="1-64"),
+    pytest.param(2, 32, 6, "noise", id="2-32"),
+    # analytic samples up to the noise-dominated orders
+    pytest.param(2, 64, 12, "fourier_decay", id="2-64-fourier_decay"),
+])
+def test_derivative_sup_batched_matches_per_alpha(dim, n, order, source):
     g = GridSpec(dim, n, 2 * np.pi)
-    samples = make_generator(31, "batched-derivative", dim).standard_normal(g.shape)
-    if dim == 1:
-        alphas = [(m,) for m in range(9)]
+    if source == "noise":
+        samples = make_generator(31, "batched-derivative", dim).standard_normal(g.shape)
     else:
-        alphas = [(m - j, j) for m in range(7) for j in range(m + 1)]
+        samples = builtin_coefficient(source, g).sample(0.0)
+    alphas = _multi_indices(dim, order)
     sups = derivative_sup(g, samples, alphas)
     assert isinstance(sups, np.ndarray) and sups.shape == (len(alphas),)
     single = [derivative_sup(g, samples, alpha) for alpha in alphas]
     assert all(isinstance(v, float) for v in single)
+    assert sups.tolist() == single
+    assert derivative_sup(g, samples, np.array(alphas)).tolist() == single
+    # the separable inverse rounds differently from one full inverse
     reference = [_derivative_sup_reference(g, samples, alpha) for alpha in alphas]
-    assert sups.tolist() == single == reference
-    assert derivative_sup(g, samples, np.array(alphas)).tolist() == reference
+    np.testing.assert_allclose(sups, reference, rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError):
         derivative_sup(g, samples, (1,) * (dim + 1))
     with pytest.raises(ValueError):
         derivative_sup(g, samples, [(1,) * (dim + 1)] * 3)
+    with pytest.raises(ValueError):
+        derivative_sup(g, samples, [(0,) * dim, (-1,) * dim])
+
+
+def test_derivative_sup_shares_one_partial_inverse_per_first_order(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(x, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, kwargs.get("axes")))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    g = GridSpec(2, 16, 2 * np.pi)
+    samples = make_generator(32, "derivative-count").standard_normal(g.shape)
+    derivative_sup(g, samples, _multi_indices(2, 12))
+    assert calls.count(("fftn", None)) == 1
+    assert calls.count(("ifftn", (0,))) == 13
+    assert calls.count(("ifftn", (-1,))) == 91
+    assert len(calls) == 1 + 13 + 91
+
+
+def test_derivative_sup_holds_one_partial_inverse_at_a_time():
+    g = GridSpec(2, 128, 2 * np.pi)
+    samples = make_generator(33, "derivative-memory").standard_normal(g.shape)
+    alphas = _multi_indices(2, 12)
+    # a first call may import lazily loaded numpy modules; keep that out
+    derivative_sup(GridSpec(2, 8, 2 * np.pi), samples[:8, :8], alphas)
+    tracemalloc.start()
+    try:
+        derivative_sup(g, samples, alphas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * samples.size * np.dtype(complex).itemsize
 
 
 def test_asigma_order_sums_cosine():
