@@ -13,9 +13,16 @@ the output directory:
   (config hash, seed, library versions).
 
 Outputs contain no timestamps, so a rerun with the same config and seed
-produces byte-identical files.  Exit codes: 0 success, 1 invalid config,
-2 numerical failure (stage named on stderr), 3 property violation when
-run with ``--assert``.
+produces byte-identical files.
+
+A run has a config stage and a work stage.  The config stage checks every
+key, type, range and choice of the resolved config and builds the
+experiment's inputs (grid, coefficient, set, initial data, bands, times);
+it fails with a ``ConfigError`` naming the key or key group before any
+work starts.  The work stage is the experiment's runner.  ``main`` alone
+maps exceptions to exit codes: 1 config error, 2 numerical failure (one of
+``_NUMERICAL``, its stage named on stderr), 3 property violation when run
+with ``--assert``.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ from .config import (
     apply_overrides,
     canonical_text,
     config_hash,
+    format_value,
     load_config,
 )
 from .spectral import GridSpec, SpectralField
-from .norms import l2_norm
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from .thick_sets import SET_BUILDERS, build_set, save_bitmask
 from .solver import IntegrationError, energy_certificate, simulate, save_snapshot
@@ -66,13 +73,13 @@ EXIT_ASSERT = 3
 
 _TWO_PI = 2.0 * np.pi
 
-
-class NumericalFailure(RuntimeError):
-    def __init__(self, stage: str, original: Exception):
-        super().__init__(f"numerical failure in {stage}: {original}")
-        self.stage = stage
-        self.original = original
-
+# the numerical failures that end a run with exit 2, and the stage each names
+_NUMERICAL = {
+    IntegrationError: "time integration",
+    InsufficientDecayError: "radius estimation",
+    ThinSetError: "restriction constants",
+    FloatingPointError: "derivative measurement",
+}
 
 _COMMON_DEFAULTS = {
     "grid.dim": 1,
@@ -140,15 +147,39 @@ _EXPERIMENT_DEFAULTS = {
 # the types a value may have, by the type of its key's default; bool is an
 # int subclass, so a bool value is accepted for bool keys only
 _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+# the largest magnitude of a number, by its type: floats are finite and ints
+# fit the 64-bit integers the builders convert them to
+_LIMITS = {int: 2**63 - 1, float: sys.float_info.max}
 
-# the closed range a numeric key may take; the class budgets divide by
-# alpha!, and 171! does not fit in a float
+# (low, high, open) bounds of a numeric key, whose type is that of low; the
+# class budgets divide by alpha!, and 171! does not fit in a float
 _RANGES = {
-    "interp.theta_count": (1, np.inf), "ls.band_min": (0.0, np.inf), "class.rel_tol": (0.0, np.inf),
-    "class.alpha_max": (0, 170), "coeff.fit_alpha_max": (0, 170),
+    "dynamics.s": (1.0, np.inf, True), "dynamics.T": (0.0, np.inf, True),
+    "dynamics.dt": (0.0, np.inf, True), "obs.theta": (0.0, 1.0, True),
+    "ls.band_step": (0.0, np.inf, True), "ls.band_min": (0.0, np.inf, False),
+    "class.rel_tol": (0.0, np.inf, False), "run.record_every": (1, np.inf, False),
+    "ensemble.count": (1, np.inf, False), "interp.theta_count": (1, np.inf, False),
+    "class.alpha_max": (0, 170, False), "coeff.fit_alpha_max": (0, 170, False),
 }
+# the values a string key may take
+_CHOICES = {
+    "dynamics.scheme": ("etd1", "etd2"),
+    "coeff.name": tuple(BUILTIN_COEFFICIENTS),
+    "set.kind": (*SET_BUILDERS, "none"),
+    "init.kind": ("mode", "band_limited", "analytic_decay"),
+}
+# the experiments that measure on an observation set
+_NEEDS_SET = ("ls-scan", "interp-scan", "observability")
 # the most bands one ls-scan computes, each a dense eigensolve
 _MAX_BANDS = 10_000
+
+
+def _keywords(builder, prefix) -> dict:
+    """Config key of each parameter of a coefficient or set builder after
+    its grid, mapped to the parameter's default (``inspect.Parameter.empty``
+    for none, as for a set's scale)."""
+    params = list(inspect.signature(builder).parameters.values())[1:]
+    return {prefix + p.name: p.default for p in params}
 
 
 def _key_defaults(experiment: str) -> dict:
@@ -157,33 +188,42 @@ def _key_defaults(experiment: str) -> dict:
     keys = {}
     for prefix, registry in (("coeff.", BUILTIN_COEFFICIENTS), ("set.", SET_BUILDERS)):
         for builder in registry.values():
-            for name, param in inspect.signature(builder).parameters.items():
-                if param.default is not param.empty:
-                    keys.setdefault(prefix + name, param.default)
+            for key, default in _keywords(builder, prefix).items():
+                if default is not inspect.Parameter.empty:
+                    keys.setdefault(key, default)
     return {**keys, **_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
 
 
 def _resolve_config(experiment: str, config_path, sets) -> dict:
-    cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(_EXPERIMENT_DEFAULTS[experiment])
+    """The merged config, every key known and every value of its key's
+    type, finite, in range and writable."""
+    cfg = {**_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
     if config_path:
         cfg.update(load_config(config_path))
     cfg = apply_overrides(cfg, sets)
     defaults = _key_defaults(experiment)
     for key, value in cfg.items():
-        if key.startswith("acceptance."):
-            continue
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {experiment}")
-        kind = type(defaults[key])
+        kind = type(_RANGES[key][0] if key in _RANGES else defaults[key])
         types = _VALUE_TYPES.get(kind)
         if types and (isinstance(value, bool) != (bool in types) or not isinstance(value, types)):
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+        if types and kind is not bool and not abs(value) <= _LIMITS[type(value)]:
+            raise ConfigError(f"{key} must be a finite 64-bit {kind.__name__}, got {value!r}")
         if key in _RANGES:
-            lo, hi = _RANGES[key]
-            typed = isinstance(value, _VALUE_TYPES[type(lo)]) and not isinstance(value, bool)
-            if not typed or not lo <= value <= hi:
-                raise ConfigError(f"{key} {value!r} is not {type(lo).__name__} in [{lo}, {hi}]")
+            lo, hi, is_open = _RANGES[key]
+            if not (lo < value < hi if is_open else lo <= value <= hi):
+                ends = "()" if is_open else "[]"
+                raise ConfigError(f"{key} {value!r} is not in {ends[0]}{lo}, {hi}{ends[1]}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{key} {value!r} is not one of {sorted(_CHOICES[key])}")
+        try:
+            format_value(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    if experiment in _NEEDS_SET and cfg["set.kind"] == "none":
+        raise ConfigError(f"{experiment} needs an observation set: set.kind must not be none")
     return cfg
 
 
@@ -195,48 +235,26 @@ def _grid_from(cfg) -> GridSpec:
     )
 
 
-def _accepted_params(func, cfg, prefix, skip) -> dict:
-    """Keys of cfg under prefix that name parameters of func; the rest are
-    defaults for other builders and are dropped."""
-    names = set(inspect.signature(func).parameters)
-    out = {}
-    for key, value in cfg.items():
-        if not key.startswith(prefix) or key in skip:
-            continue
-        param = key.split(".", 1)[1]
-        if param in names:
-            out[param] = value
-    return out
+def _builder_args(builder, cfg, prefix) -> dict:
+    """The builder's keyword arguments from cfg; keys under prefix that name
+    parameters of other builders are dropped."""
+    return {key[len(prefix):]: cfg[key] for key in _keywords(builder, prefix) if key in cfg}
 
 
 def _coeff_from(cfg, grid):
-    name = str(cfg["coeff.name"])
-    if name not in BUILTIN_COEFFICIENTS:
-        raise ConfigError(
-            f"unknown coeff.name {name!r}; expected one of {sorted(BUILTIN_COEFFICIENTS)}"
-        )
-    params = _accepted_params(
-        BUILTIN_COEFFICIENTS[name], cfg, "coeff.", ("coeff.name",)
-    )
-    return builtin_coefficient(name, grid, **params)
+    name = cfg["coeff.name"]
+    return builtin_coefficient(name, grid, **_builder_args(BUILTIN_COEFFICIENTS[name], cfg, "coeff."))
 
 
 def _set_from(cfg, grid):
-    kind = str(cfg["set.kind"])
+    kind = cfg["set.kind"]
     if kind == "none":
         return None
-    if kind not in SET_BUILDERS:
-        raise ConfigError(
-            f"unknown set.kind {kind!r}; expected one of {sorted(SET_BUILDERS)} or none"
-        )
-    params = _accepted_params(
-        SET_BUILDERS[kind], cfg, "set.", ("set.kind", "set.scale")
-    )
-    return build_set(kind, grid, float(cfg["set.scale"]), **params)
+    return build_set(kind, grid, **_builder_args(SET_BUILDERS[kind], cfg, "set."))
 
 
 def _initial_field(cfg, grid):
-    kind = str(cfg["init.kind"])
+    kind = cfg["init.kind"]
     amplitude = float(cfg["init.amplitude"])
     if kind == "mode":
         mode = (int(cfg["init.mode"]),) + (0,) * (grid.dim - 1)
@@ -245,9 +263,7 @@ def _initial_field(cfg, grid):
     if kind == "band_limited":
         band = float(cfg["init.band"]) or grid.nyquist_axis / 4.0
         return random_band_limited(grid, rng, band)
-    if kind == "analytic_decay":
-        return random_analytic_decay(grid, rng, float(cfg["init.radius"]))
-    raise ConfigError(f"unknown init.kind {kind!r}")
+    return random_analytic_decay(grid, rng, float(cfg["init.radius"]))
 
 
 def _ensemble_from(cfg, grid):
@@ -260,6 +276,67 @@ def _ensemble_from(cfg, grid):
         band=band,
         decay_radius=float(cfg["init.radius"]),
     )
+
+
+def _bands(cfg, grid) -> list:
+    """Bands band_min + i*band_step up to band_max."""
+    lo = float(cfg["ls.band_min"])
+    hi = float(cfg["ls.band_max"])
+    step = float(cfg["ls.band_step"])
+    if hi < lo:
+        raise ValueError(f"ls.band_max {hi!r} is below ls.band_min {lo!r}")
+    if hi > grid.nyquist_radius + 1e-12:
+        raise ValueError(
+            f"ls.band_max {hi!r} exceeds the lattice Nyquist radius {grid.nyquist_radius!r}"
+        )
+    # bands lo + i*step <= hi; the slack keeps a band that lands on hi up to round-off
+    spacings = (hi - lo) / step + 1e-9
+    if not spacings < _MAX_BANDS:
+        raise ValueError(f"ls.band_step {step!r} gives more than {_MAX_BANDS} bands")
+    return list(np.arange(lo, hi + 0.5 * step, step)[: int(spacings) + 1])
+
+
+def _t_values(cfg, grid) -> list:
+    text = str(cfg["class.t_values"])
+    t_values = [float(v) for v in text.split(",")]
+    if not np.all(np.isfinite(t_values)):
+        raise ValueError(f"class.t_values {text!r} holds a non-finite time")
+    return t_values
+
+
+# the builder of each input, named by the key group it reads
+_BUILDERS = {
+    "coeff": _coeff_from,
+    "set": _set_from,
+    "init": _initial_field,
+    "ensemble": _ensemble_from,
+    "ls": _bands,
+    "class": _t_values,
+}
+# the inputs each experiment's runner reads, besides the grid
+_INPUTS = {
+    "simulate": ("coeff", "set", "init"),
+    "ls-scan": ("set", "ls"),
+    "interp-scan": ("coeff", "set", "ensemble"),
+    "observability": ("coeff", "set", "ensemble"),
+    "radius-track": ("coeff", "init"),
+    "class-verify": ("coeff", "class"),
+    "assert-suite": (),
+}
+
+
+def _build_inputs(experiment: str, cfg) -> dict:
+    """The grid and the experiment's inputs.  A builder's ValueError, or an
+    OverflowError from a setting past the float range, is a config error in
+    the key group that builder reads."""
+    group = "grid"
+    try:
+        inputs = {"grid": _grid_from(cfg)}
+        for group in _INPUTS[experiment]:
+            inputs[group] = _BUILDERS[group](cfg, inputs["grid"])
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {group}.* settings: {exc}") from exc
+    return inputs
 
 
 def _write_csv(path, header, rows):
@@ -282,13 +359,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_summary(outdir: Path, experiment: str, cfg, lines) -> None:
+def _write_results(outdir: Path, experiment: str, cfg, lines) -> None:
+    """summary.txt with the result lines, config.resolved.txt and metadata.json."""
     text = [f"experiment = {experiment}", f"config_sha256 = {config_hash(cfg)}"]
     text += [f"{key} = {_fmt(value)}" for key, value in lines]
     (outdir / "summary.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-
-
-def _write_metadata(outdir: Path, experiment: str, cfg) -> None:
     (outdir / "config.resolved.txt").write_text(canonical_text(cfg), encoding="utf-8")
     meta = {
         "experiment": experiment,
@@ -305,27 +380,22 @@ def _write_metadata(outdir: Path, experiment: str, cfg) -> None:
 
 
 def _simulate_stage(u0, a, cfg, obs, store_states=False):
-    try:
-        return simulate(
-            u0,
-            a,
-            float(cfg["dynamics.s"]),
-            float(cfg["dynamics.T"]),
-            float(cfg["dynamics.dt"]),
-            scheme=str(cfg["dynamics.scheme"]),
-            record_every=int(cfg["run.record_every"]),
-            obs_set=obs,
-            store_states=store_states,
-        )
-    except IntegrationError as exc:
-        raise NumericalFailure("time integration", exc) from exc
+    return simulate(
+        u0,
+        a,
+        float(cfg["dynamics.s"]),
+        float(cfg["dynamics.T"]),
+        float(cfg["dynamics.dt"]),
+        scheme=str(cfg["dynamics.scheme"]),
+        record_every=int(cfg["run.record_every"]),
+        obs_set=obs,
+        store_states=store_states,
+    )
 
 
-def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
-    grid = _grid_from(cfg)
-    a = _coeff_from(cfg, grid)
-    obs = _set_from(cfg, grid)
-    traj = _simulate_stage(_initial_field(cfg, grid), a, cfg, obs, store_states=True)
+def run_simulate(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+    a, obs = inputs["coeff"], inputs["set"]
+    traj = _simulate_stage(inputs["init"], a, cfg, obs, store_states=True)
     _write_csv(
         outdir / "trajectory.csv",
         ["t", *traj.diagnostics],
@@ -335,7 +405,7 @@ def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
         save_snapshot(outdir / "final_state.snap", traj.final_state, traj.final_time)
     if obs is not None and cfg["output.save_set"]:
         save_bitmask(outdir / "observation_set.mask", obs)
-    cert = energy_certificate(traj, a, slack=1e-6)
+    cert = energy_certificate(traj, a)
     lines = [
         ("final_time", traj.final_time),
         ("final_l2", float(traj.diagnostics["l2"][-1])),
@@ -345,8 +415,7 @@ def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
         ("energy_certificate_sup_coeff", cert.sup_coeff),
         ("energy_certificate_worst_excess", cert.worst_excess),
     ]
-    _write_summary(outdir, "simulate", cfg, lines)
-    _write_metadata(outdir, "simulate", cfg)
+    _write_results(outdir, "simulate", cfg, lines)
     print(f"wrote {outdir / 'trajectory.csv'}")
     if assert_mode and not cert.passed:
         print("assert: energy certificate violated", file=sys.stderr)
@@ -354,29 +423,9 @@ def run_simulate(cfg, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def run_ls_scan(cfg, outdir: Path, assert_mode: bool) -> int:
-    grid = _grid_from(cfg)
-    lo = float(cfg["ls.band_min"])
-    hi = float(cfg["ls.band_max"])
-    step = float(cfg["ls.band_step"])
-    if step <= 0 or hi < lo:
-        raise ConfigError("ls.band_* must satisfy band_min <= band_max, band_step > 0")
-    if hi > grid.nyquist_radius + 1e-12:
-        raise ConfigError(
-            f"ls.band_max {hi!r} exceeds the lattice Nyquist radius {grid.nyquist_radius!r}"
-        )
-    # bands lo + i*step <= hi; the slack keeps a band that lands on hi up to round-off
-    spacings = (hi - lo) / step + 1e-9
-    if not spacings < _MAX_BANDS:
-        raise ConfigError(f"ls.band_step {step!r} gives more than {_MAX_BANDS} bands")
-    obs = _set_from(cfg, grid)
-    if obs is None:
-        raise ConfigError("ls-scan needs an observation set (set.kind != none)")
-    bands = list(np.arange(lo, hi + 0.5 * step, step)[: int(spacings) + 1])
-    try:
-        fit = ls_growth_fit(obs, bands)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def run_ls_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+    obs = inputs["set"]
+    fit = ls_growth_fit(obs, inputs["ls"])
     rows = [
         (band, const, status)
         for band, const, status in zip(fit.bands, fit.constants, fit.statuses)
@@ -391,8 +440,7 @@ def run_ls_scan(cfg, outdir: Path, assert_mode: bool) -> int:
         ("log_fit_intercept", fit.intercept),
         ("log_fit_residual_rms", fit.residual_rms),
     ]
-    _write_summary(outdir, "ls-scan", cfg, lines)
-    _write_metadata(outdir, "ls-scan", cfg)
+    _write_results(outdir, "ls-scan", cfg, lines)
     print(f"wrote {outdir / 'ls_constants.csv'}")
     if assert_mode:
         mono = all(
@@ -405,20 +453,11 @@ def run_ls_scan(cfg, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def run_interp_scan(cfg, outdir: Path, assert_mode: bool) -> int:
-    grid = _grid_from(cfg)
-    a = _coeff_from(cfg, grid)
-    obs = _set_from(cfg, grid)
-    if obs is None:
-        raise ConfigError("interp-scan needs an observation set (set.kind != none)")
-    fields = _ensemble_from(cfg, grid)
+def run_interp_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
     t_cap = min(float(cfg["dynamics.T"]), 1.0)
     delta = float(cfg["dynamics.s"]) - 1.0
-    if delta <= 0:
-        raise ConfigError("dynamics.s must exceed 1")
-
-    batch = SpectralField(grid, np.stack([f.coeffs for f in fields]))
-    traj = _simulate_stage(batch, a, cfg, obs)
+    batch = SpectralField(inputs["grid"], np.stack([f.coeffs for f in inputs["ensemble"]]))
+    traj = _simulate_stage(batch, inputs["coeff"], cfg, inputs["set"])
     qs, log_l2j, log_l2ej, log_l2i, skipped = _interp_pairs(
         traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"], t_cap, delta
     )
@@ -451,8 +490,7 @@ def run_interp_scan(cfg, outdir: Path, assert_mode: bool) -> int:
         ("constant_min", float(np.min(constants))),
         ("constant_max", float(np.max(constants))),
     ]
-    _write_summary(outdir, "interp-scan", cfg, lines)
-    _write_metadata(outdir, "interp-scan", cfg)
+    _write_results(outdir, "interp-scan", cfg, lines)
     print(f"wrote {outdir / 'interp_constants.csv'}")
     if assert_mode:
         limit = float(cfg["interp.assert_below"])
@@ -469,27 +507,18 @@ def run_interp_scan(cfg, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def run_observability(cfg, outdir: Path, assert_mode: bool) -> int:
-    grid = _grid_from(cfg)
-    a = _coeff_from(cfg, grid)
-    obs = _set_from(cfg, grid)
-    if obs is None:
-        raise ConfigError("observability needs an observation set (set.kind != none)")
-    fields = _ensemble_from(cfg, grid)
-    try:
-        rep = observability_experiment(
-            a,
-            float(cfg["dynamics.s"]),
-            obs,
-            float(cfg["dynamics.T"]),
-            float(cfg["dynamics.dt"]),
-            fields,
-            theta=float(cfg["obs.theta"]),
-            record_every=int(cfg["run.record_every"]),
-            scheme=str(cfg["dynamics.scheme"]),
-        )
-    except IntegrationError as exc:
-        raise NumericalFailure("time integration", exc) from exc
+def run_observability(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+    rep = observability_experiment(
+        inputs["coeff"],
+        float(cfg["dynamics.s"]),
+        inputs["set"],
+        float(cfg["dynamics.T"]),
+        float(cfg["dynamics.dt"]),
+        inputs["ensemble"],
+        theta=float(cfg["obs.theta"]),
+        record_every=int(cfg["run.record_every"]),
+        scheme=str(cfg["dynamics.scheme"]),
+    )
     rows = [(i, r) for i, r in enumerate(rep.member_ratios)]
     _write_csv(outdir / "observability.csv", ["member", "ratio"], rows)
     lines = [
@@ -502,8 +531,7 @@ def run_observability(cfg, outdir: Path, assert_mode: bool) -> int:
         ("degenerate_members", ",".join(map(str, rep.degenerate_members)) or "none"),
         ("bounded", rep.passed),
     ]
-    _write_summary(outdir, "observability", cfg, lines)
-    _write_metadata(outdir, "observability", cfg)
+    _write_results(outdir, "observability", cfg, lines)
     print(f"wrote {outdir / 'observability.csv'}")
     if assert_mode and not rep.passed:
         print("assert: empirical ratio exceeds the assembled bound", file=sys.stderr)
@@ -511,20 +539,15 @@ def run_observability(cfg, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def run_radius_track(cfg, outdir: Path, assert_mode: bool) -> int:
-    grid = _grid_from(cfg)
-    a = _coeff_from(cfg, grid)
-    traj = _simulate_stage(_initial_field(cfg, grid), a, cfg, None, store_states=True)
+def run_radius_track(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+    traj = _simulate_stage(inputs["init"], inputs["coeff"], cfg, None, store_states=True)
     t_min = float(cfg["radius.t_min"])
     rows = []
     tracked = []
     for t, state in zip(traj.times, traj.states):
         if t < t_min - 1e-12:
             continue
-        try:
-            fit = radius_estimate(state)
-        except InsufficientDecayError as exc:
-            raise NumericalFailure("radius estimation", exc) from exc
+        fit = radius_estimate(state)
         rows.append((t, fit.value, fit.status, fit.n_shells, fit.residual_rms))
         if fit.status == "ok":
             tracked.append(fit.value)
@@ -538,8 +561,7 @@ def run_radius_track(cfg, outdir: Path, assert_mode: bool) -> int:
         ("radius_min", float(np.min(tracked)) if tracked else np.inf),
         ("radius_max", float(np.max(tracked)) if tracked else np.inf),
     ]
-    _write_summary(outdir, "radius-track", cfg, lines)
-    _write_metadata(outdir, "radius-track", cfg)
+    _write_results(outdir, "radius-track", cfg, lines)
     print(f"wrote {outdir / 'radius_track.csv'}")
     if assert_mode:
         floor = float(cfg["radius.floor"])
@@ -549,18 +571,11 @@ def run_radius_track(cfg, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def run_class_verify(cfg, outdir: Path, assert_mode: bool) -> int:
-    grid = _grid_from(cfg)
-    a = _coeff_from(cfg, grid)
-    if a.class_info is None:
-        raise ConfigError(f"coefficient {a.name!r} declares no derivative class")
+def run_class_verify(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+    a = inputs["coeff"]
     alpha_max = int(cfg["class.alpha_max"])
     rel_tol = float(cfg["class.rel_tol"])
-    try:
-        t_values = [float(v) for v in str(cfg["class.t_values"]).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"class.t_values must be comma-separated floats: {exc}") from exc
-    rep = verify_class(a, alpha_max=alpha_max, t_grid=t_values, rel_tol=rel_tol)
+    rep = verify_class(a, alpha_max=alpha_max, t_grid=inputs["class"], rel_tol=rel_tol)
     rows = [
         (t, ratio <= 1.0, ratio, "|".join(map(str, alpha))) for t, ratio, alpha in rep.rows
     ]
@@ -573,8 +588,7 @@ def run_class_verify(cfg, outdir: Path, assert_mode: bool) -> int:
         ("passed", rep.passed),
         ("worst_ratio", rep.worst_ratio),
     ]
-    _write_summary(outdir, "class-verify", cfg, lines)
-    _write_metadata(outdir, "class-verify", cfg)
+    _write_results(outdir, "class-verify", cfg, lines)
     print(f"wrote {outdir / 'class_check.csv'}")
     if assert_mode and not rep.passed:
         print("assert: measured derivatives exceed the declared class", file=sys.stderr)
@@ -582,8 +596,8 @@ def run_class_verify(cfg, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def run_assert_suite(cfg, outdir: Path, assert_mode: bool) -> int:
-    results = acceptance.run_all(cfg)
+def run_assert_suite(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+    results = acceptance.run_all()
     width = max(len(r.name) for r in results)
     print(f" # {'criterion'.ljust(width)}  status  time")
     for r in results:
@@ -593,8 +607,7 @@ def run_assert_suite(cfg, outdir: Path, assert_mode: bool) -> int:
     print(f"{n_pass}/{len(results)} criteria passed")
     lines = [(r.name, bool(r.passed)) for r in results]
     lines.append(("criteria_passed", n_pass))
-    _write_summary(outdir, "assert-suite", cfg, lines)
-    _write_metadata(outdir, "assert-suite", cfg)
+    _write_results(outdir, "assert-suite", cfg, lines)
     return EXIT_OK if n_pass == len(results) else EXIT_ASSERT
 
 
@@ -647,30 +660,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    outdir = Path(args.output)
     try:
         cfg = _resolve_config(args.experiment, args.config, args.sets)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output dir: {exc}") from exc
+        inputs = _build_inputs(args.experiment, cfg)
+        return _RUNNERS[args.experiment](cfg, inputs, outdir, args.assert_mode)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.output)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _RUNNERS[args.experiment](cfg, outdir, args.assert_mode)
-    except NumericalFailure as exc:
-        print(str(exc), file=sys.stderr)
+    except tuple(_NUMERICAL) as exc:
+        stage = next(stage for kind, stage in _NUMERICAL.items() if isinstance(exc, kind))
+        print(f"numerical failure in {stage}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ThinSetError, InsufficientDecayError, IntegrationError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -247,8 +247,8 @@ def verify_class(
     each comparison allows an absolute floor of
     8*n^dim*eps*sup|a|*nyquist^|alpha| on top of the relative tolerance;
     orders where that floor exceeds the budget are effectively unresolvable
-    on the given grid.  A zero budget passes only against an observed sup
-    below 1e-12.
+    on the given grid, and past the float range it is infinite.  A zero
+    budget passes only against an observed sup below 1e-12.
     """
     if a.class_info is None:
         raise ValueError("coefficient declares no class to verify")
@@ -266,7 +266,10 @@ def verify_class(
         noise_unit = 8.0 * np.finfo(float).eps * a.grid.n**a.grid.dim * sup0
         worst, worst_alpha = 0.0, (0,) * a.grid.dim
         for alpha, obs, bound in zip(alphas, sups, bounds):
-            allowance = noise_unit * a.grid.nyquist_axis ** sum(alpha)
+            try:
+                allowance = noise_unit * a.grid.nyquist_axis ** sum(alpha)
+            except OverflowError:
+                allowance = np.inf
             if bound == 0.0:
                 ratio = 0.0 if obs <= max(1e-12, allowance) else np.inf
             else:
@@ -305,30 +308,23 @@ class HsCheckReport:
         return float(np.max(self.derivative_sups / denom))
 
 
-def h_s_derivative_check(
-    s: float,
-    alpha_max: int = 8,
-    period: float | None = None,
-    points: int | None = None,
-) -> HsCheckReport:
+def h_s_derivative_check(s: float, alpha_max: int = 8) -> HsCheckReport:
     """Measure derivative growth of h(x) = (1+x^2)^(-s/2) on a wide torus.
 
     Returns the minimal prefactor K with sup|d^m h| <= K * 12^m * m! for all
     m <= alpha_max, together with the boundary value of h at half period:
     that value bounds the periodization error incurred by sampling the line
-    function on a torus.  The default period is at least 40 and grows for
-    small s until the boundary value drops below 2.5e-3; the default
-    resolution keeps the axis Nyquist frequency near 64 so that spectral
-    differentiation of this analytically decaying profile is accurate.
+    function on a torus.  The period is at least 40 and grows for small s
+    until the boundary value drops below 2.5e-3; the resolution keeps the
+    axis Nyquist frequency near 64 so that spectral differentiation of this
+    analytically decaying profile is accurate.
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    if period is None:
-        needed = 2.0 * np.sqrt(max(0.0025 ** (-2.0 / s) - 1.0, 0.0))
-        period = float(max(40.0, np.ceil(needed)))
-    if points is None:
-        points = 1 << int(np.ceil(np.log2(period * 64.0 / np.pi)))
-    grid = GridSpec(dim=1, n=int(points), period=float(period))
+    needed = 2.0 * np.sqrt(max(0.0025 ** (-2.0 / s) - 1.0, 0.0))
+    period = float(max(40.0, np.ceil(needed)))
+    points = 1 << int(np.ceil(np.log2(period * 64.0 / np.pi)))
+    grid = GridSpec(dim=1, n=points, period=period)
     x = grid.x_centered_axes[0]
     h = (1.0 + x**2) ** (-s / 2.0)
     sups = derivative_sup(grid, h, _multi_indices(1, alpha_max))
@@ -343,6 +339,6 @@ def h_s_derivative_check(
         derivative_sups=sups,
         base=base,
         boundary_value=boundary,
-        period=float(period),
-        points=int(points),
+        period=period,
+        points=points,
     )

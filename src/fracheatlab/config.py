@@ -82,7 +82,9 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # newline="" keeps a "\r" inside a value; universal newlines would
+        # end the line there
+        with open(path, encoding="utf-8", newline="") as fh:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _THIN_EIGENVALUE = 1e-13
+# a radius fit uses the shells whose maximum exceeds this share of the peak
+_DECAY_FLOOR = 1e-13
+# gaps on the geometric grid a space-time lift is dominated on
+_LIFT_POINTS = 1000
 
 
 class ThinSetError(ValueError):
@@ -224,16 +228,12 @@ def _shell_maxima(field: SpectralField):
     return np.arange(n_shell) * unit, shell_max
 
 
-def radius_estimate(
-    field: SpectralField,
-    floor_rel: float = 1e-13,
-    window: tuple | None = None,
-) -> RadiusFit:
+def radius_estimate(field: SpectralField, window: tuple | None = None) -> RadiusFit:
     """Least-squares decay rate of -log per-shell spectral maxima.
 
     Shells are integer lattice radii.  The fit runs over shells inside the
     window (defaults to physical 2 <= |k| <= 0.66 * axis Nyquist) whose
-    maximum exceeds floor_rel times the global coefficient maximum.  A
+    maximum exceeds 1e-13 times the global coefficient maximum.  A
     spectrum that terminates in exact zeros inside the window is reported
     as 'band_limited' with an infinite value; fewer than three usable
     shells otherwise raise InsufficientDecayError.  The value is clamped
@@ -265,7 +265,7 @@ def radius_estimate(
             residual_rms=0.0,
             window=window,
         )
-    floor = floor_rel * peak
+    floor = _DECAY_FLOOR * peak
     usable = m_w > floor
     if usable.sum() < 3:
         raise InsufficientDecayError(
@@ -366,8 +366,8 @@ def telescope_constant(
     )
 
 
-def smallest_log_affine_dominator(qs, log_targets, c_min: float = 1.0) -> float:
-    """Smallest C >= c_min with log(C) + C*q >= L for every pair (q, L).
+def smallest_log_affine_dominator(qs, log_targets) -> float:
+    """Smallest C >= 1 with log(C) + C*q >= L for every pair (q, L).
 
     The left side is increasing in C for positive q, so bisection applies.
     Used to absorb measured constants into single-constant bound shapes.
@@ -377,19 +377,19 @@ def smallest_log_affine_dominator(qs, log_targets, c_min: float = 1.0) -> float:
     if np.any(qs <= 0):
         raise ValueError("all q values must be positive")
     if len(qs) == 0:
-        return c_min
+        return 1.0
 
     def short(cc):
         return float(np.min(np.log(cc) + cc * qs - log_targets))
 
-    if short(c_min) >= 0.0:
-        return c_min
-    hi = max(2.0 * c_min, 2.0)
+    if short(1.0) >= 0.0:
+        return 1.0
+    hi = 2.0
     while short(hi) < 0.0:
         hi *= 2.0
         if hi > 1e300:
             return np.inf
-    lo = c_min
+    lo = 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if short(mid) >= 0.0:
@@ -407,7 +407,6 @@ class LiftReport:
     theta: float
     gap_exponent: float
     absorbed_constant: float
-    grid_points: int
     gap_range: tuple
 
     def bound(self, gap: float) -> float:
@@ -424,7 +423,6 @@ def spacetime_lift(
     premise_constant: float,
     gap_exponent: float,
     theta: float,
-    grid_points: int = 1000,
     gap_range: tuple = (1e-6, 1.0),
 ) -> LiftReport:
     """Lift a fixed-time interpolation constant to a space-time bound.
@@ -432,7 +430,7 @@ def spacetime_lift(
     The lifted shape is C*(2/gap)^theta * exp(C*2^delta/gap^delta); the
     report also carries the smallest single constant C0 whose form
     C0*exp(C0/gap^delta) dominates the lifted bound on a geometric grid of
-    gaps, which is the shape the telescoping step consumes.
+    1000 gaps, which is the shape the telescoping step consumes.
     """
     c = float(premise_constant)
     if c < 1.0:
@@ -442,7 +440,7 @@ def spacetime_lift(
     delta = float(gap_exponent)
     if not delta > 0:
         raise ValueError(f"gap_exponent must be positive, got {delta}")
-    gaps = np.geomspace(gap_range[0], gap_range[1], grid_points)
+    gaps = np.geomspace(gap_range[0], gap_range[1], _LIFT_POINTS)
     log_b = np.log(c) + theta * np.log(2.0 / gaps) + c * 2.0**delta / gaps**delta
     c0 = smallest_log_affine_dominator(1.0 / gaps**delta, log_b)
     return LiftReport(
@@ -450,7 +448,6 @@ def spacetime_lift(
         theta=theta,
         gap_exponent=delta,
         absorbed_constant=float(c0),
-        grid_points=grid_points,
         gap_range=tuple(gap_range),
     )
 

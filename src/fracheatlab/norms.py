@@ -159,6 +159,8 @@ def _alpha_factorial(alpha) -> float:
     return float(prod(factorial(a_j) for a_j in alpha))
 
 
+# an order past the float range overflows silently and raises below
+@np.errstate(over="ignore", invalid="ignore")
 def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     """Grid sup norm of the spectral derivative d^alpha of real samples.
 
@@ -167,6 +169,8 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     with the same arithmetic as m separate calls.  The inverse is separable:
     in 2D every alpha = (a, b) with the same a shares one partial inverse
     along axis 0, and each alpha then takes one inverse along the last axis.
+    A sup that is not finite (the order is past the float range on this
+    grid) raises FloatingPointError naming the first such multi-index.
     """
     batched = np.ndim(alpha) == 2
     alphas = np.atleast_2d(np.asarray(alpha).astype(int))
@@ -188,6 +192,10 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
             # made 2D n=256 sups about 25% slower
             deriv = np.fft.ifftn(part * (1j * grid.k_axes[-1]) ** b if b else part, axes=(-1,)).real
             sups[i] = np.max(np.abs(deriv))
+    bad = np.flatnonzero(~np.isfinite(sups))
+    if len(bad):
+        alpha = tuple(alphas[bad[0]].tolist())
+        raise FloatingPointError(f"the sup of derivative {alpha} is not finite on this grid")
     return sups if batched else float(sups[0])
 
 

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _PHI_TAYLOR_CUT = 1e-4
+# the multiplicative slack an energy certificate allows
+_CERT_SLACK = 1e-6
 _SNAP_MAGIC = b"FHS1"
 
 
@@ -258,21 +260,18 @@ def simulate(
 class CertificateReport:
     passed: bool
     sup_coeff: float
-    slack: float
     worst_excess: float
     worst_pair: tuple
 
 
-def energy_certificate(traj: Trajectory, a, slack: float = 1e-6) -> CertificateReport:
+def energy_certificate(traj: Trajectory, a) -> CertificateReport:
     """Check the growth bound ||u(t2)||^2 <= e^{2*A*(t2-t1)} ||u(t1)||^2.
 
     A is the measured sup of |a| over the recorded times, and the bound must
-    hold for every recorded pair t1 < t2 up to the multiplicative slack.
-    Violations indicate integrator error; the exact flow satisfies the bound
-    with no slack at all.
+    hold for every recorded pair t1 < t2 up to the multiplicative slack
+    1e-6.  Violations indicate integrator error; the exact flow satisfies
+    the bound with no slack at all.
     """
-    if slack < 0:
-        raise ValueError(f"slack must be nonnegative, got {slack}")
     if traj.diagnostics["l2"].ndim != 1:
         n = len(traj.diagnostics["l2"])
         raise ValueError(f"energy_certificate takes one trajectory, got a batch of {n}")
@@ -287,9 +286,8 @@ def energy_certificate(traj: Trajectory, a, slack: float = 1e-6) -> CertificateR
     j = worst_idx + 1
     i = int(np.argmin(g[:j]))
     return CertificateReport(
-        passed=bool(worst <= np.log1p(slack)),
+        passed=bool(worst <= np.log1p(_CERT_SLACK)),
         sup_coeff=sup_a,
-        slack=slack,
         worst_excess=float(np.expm1(worst)) if worst < 700 else np.inf,
         worst_pair=(float(traj.times[i]), float(traj.times[j])) if len(excess) else (0.0, 0.0),
     )

@@ -39,7 +39,7 @@ class GridSpec:
         Sample points per axis.  Must be even and >= 8 so the 2/3-rule
         dealiasing mask and the Nyquist convention are well defined.
     period : float
-        Side length of the torus, > 0.
+        Side length of the torus, > 0 and finite.
     """
 
     dim: int
@@ -51,8 +51,8 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def shape(self) -> tuple:

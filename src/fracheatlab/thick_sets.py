@@ -34,19 +34,20 @@ _MAGIC = b"FHL1"
 
 
 def _cells_per_side(grid: GridSpec, scale: float) -> int:
-    if scale <= 0.0:
-        raise ValueError(f"cube side must be positive, got {scale}")
-    ratio = grid.period / scale
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-        raise ValueError(
-            f"cube side {scale} does not divide period {grid.period}; "
-            "the translate scan would be inexact"
-        )
+    if not 0.0 < scale <= grid.period:
+        raise ValueError(f"cube side must lie in (0, period {grid.period}], got {scale}")
+    # whole cells first: below half a cell, period / scale can overflow
     m = scale / grid.dx
     if abs(m - round(m)) > 1e-9 * max(1.0, m) or round(m) < 1:
         raise ValueError(
             f"cube side {scale} is not a whole number of grid cells "
             f"(cell size {grid.dx})"
+        )
+    ratio = grid.period / scale
+    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        raise ValueError(
+            f"cube side {scale} does not divide period {grid.period}; "
+            "the translate scan would be inexact"
         )
     return int(round(m))
 
@@ -216,4 +217,7 @@ def load_bitmask(path, grid: GridSpec) -> ThickSet:
         raise ValueError(f"{path}: bitmask is {len(raw)} bytes, expected {expected}")
     bits = np.unpackbits(np.frombuffer(raw[25:], dtype=np.uint8), count=cells).astype(bool)
     indicator = bits.reshape((n,) * dim)
-    return ThickSet.from_indicator(grid, indicator, scale)
+    try:
+        return ThickSet.from_indicator(grid, indicator, scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid bitmask header: {exc}") from None

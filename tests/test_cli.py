@@ -5,17 +5,20 @@ codes and produced files are tested exactly as a shell user would see them.
 Runs are kept tiny; the acceptance suite owns the full-size checks.
 """
 
+import contextlib
 import csv
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracheatlab.config import (
     ConfigError,
@@ -25,8 +28,10 @@ from fracheatlab.config import (
     apply_overrides,
     canonical_text,
     config_hash,
+    load_config,
 )
-from fracheatlab import cli
+from fracheatlab import acceptance, cli
+from fracheatlab.acceptance import CRITERION_NAMES, CriterionResult
 from fracheatlab.cli import main
 from fracheatlab.coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from fracheatlab.ensembles import single_mode
@@ -134,6 +139,13 @@ _line_values = st.one_of(
         max_size=40,
     ),
 )
+
+
+def test_config_file_keeps_carriage_return_in_value(tmp_path):
+    # universal-newline reading once ended the line at the "\r"
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b'k = "a\rb"\r\nj = 2\n')
+    assert load_config(path) == {"k": "a\rb", "j": 2}
 
 
 @given(st.dictionaries(st.sampled_from(["a", "b.c", "grid.n"]), _line_values))
@@ -326,6 +338,10 @@ def test_class_verify_rows_match_single_time_checks(tmp_path):
     assert (out / "class_check.csv").read_text().splitlines() == expect
 
 
+# the work-stage calls of the runners; the config stage runs before any
+_WORK = ("simulate", "ls_growth_fit", "observability_experiment", "verify_class")
+
+
 def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     cases = [
         ["simulate", "--set", "grid.n=13"],
@@ -349,14 +365,43 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         rc = main(["simulate", "--set", setting, "--output", str(tmp_path / "err")])
         assert rc == 1, setting
         assert setting.split("=")[0] in capsys.readouterr().err, setting
-    # out-of-range counts and band limits are rejected before any work
+    # out-of-range values, unknown keys and bad builder settings are rejected
+    # before any work
     def no_work(*args, **kwargs):
         raise AssertionError("ran work on an invalid config")
 
-    monkeypatch.setattr(cli, "simulate", no_work)
-    monkeypatch.setattr(cli, "ls_growth_fit", no_work)
-    monkeypatch.setattr(cli, "verify_class", no_work)
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(acceptance, "run_all", no_work)
     for key, argv in (
+        ("acceptance.typo", ["simulate", "--set", "acceptance.typo=1"]),
+        ("dynamics.T", ["observability", "--set", "dynamics.T=0.0"]),
+        ("dynamics.dt", ["simulate", "--set", "dynamics.dt=0"]),
+        ("dynamics.dt", ["ls-scan", "--set", "dynamics.dt=-5"]),
+        ("dynamics.scheme", ["simulate", "--set", "dynamics.scheme=rk4"]),
+        ("dynamics.s", ["interp-scan", "--set", "dynamics.s=1.0"]),
+        ("ensemble.count", ["interp-scan", "--set", "ensemble.count=0"]),
+        ("obs.theta", ["observability", "--set", "obs.theta=1.0"]),
+        ("run.record_every", ["simulate", "--set", "run.record_every=0"]),
+        ("coeff.amplitude", ["simulate", "--set", "coeff.amplitude=nan"]),
+        ("grid.period", ["simulate", "--set", "grid.period=inf"]),
+        ("init.radius", ["simulate", "--set", "init.radius=inf"]),
+        ("dynamics.T", ["simulate", "--set", "dynamics.T=inf"]),
+        ("dynamics.T", ["simulate", "--set", f"dynamics.T={10**400}"]),
+        ("set.scale", ["observability", "--set", "set.scale=inf"]),
+        ("interp.cap", ["interp-scan", "--set", "interp.cap=inf"]),
+        ("init.mode", ["simulate", "--set", f"init.mode={2**63}"]),
+        ("ensemble.kind", ["simulate", "--set", 'ensemble.kind=a"b']),
+        ("set.kind", ["interp-scan", "--set", "set.kind=none"]),
+        ("grid.", ["simulate", "--set", "grid.n=13"]),
+        ("set.", ["observability", "--set", "set.scale=0.0"]),
+        ("set.", ["simulate", "--set", "set.kind=complement_of_ball",
+                  "--set", "set.radius=1e200"]),
+        ("init.", ["simulate", "--set", "init.kind=mode", "--set", "init.mode=500"]),
+        ("ensemble.", ["observability", "--set", "ensemble.kind=uniform"]),
+        ("class.t_values", ["class-verify", "--set", "class.t_values=0,inf"]),
+        ("class.", ["class-verify", "--set", "class.t_values=0,later"]),
+        ("ls.band_max", ["ls-scan", "--set", "ls.band_min=8", "--set", "ls.band_max=4"]),
         ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=0"]),
         ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=-3"]),
         ("ls.band_min", ["ls-scan", "--set", "ls.band_min=-1.0"]),
@@ -376,6 +421,96 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
         assert key in capsys.readouterr().err, argv
+
+
+
+@pytest.mark.parametrize("error", [KeyError("l2_on_E"), ValueError("a bug")])
+def test_bugs_propagate(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    with pytest.raises(type(error)):
+        _run(tmp_path, "simulate", *FAST_SIM)
+    assert "config error" not in capsys.readouterr().err
+
+
+class _Reached(Exception):
+    """Raised by a patched work function: the config stage let the run through."""
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+_EXPERIMENTS = tuple(cli._RUNNERS)
+_KNOWN_KEYS = sorted({key for e in _EXPERIMENTS for key in cli._key_defaults(e)})
+_JUNK_KEYS = ["acceptance.typo", "grid.bogus", "coeff.grid", "set.scales", "x", "a.b.c"]
+# how a builder's failure names its key group
+_GROUP_ERRORS = [f"invalid {group}.* settings" for group in ("grid", *cli._BUILDERS)]
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_fuzz_values = st.one_of(
+    st.integers(min_value=-3, max_value=200),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64), 10**400]),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0,0.5", "1,nan", "etd1", "none", "mode",
+                     "full", "fourier_decay", "mixed", '"12"', '"x', 'a"b', ""]),
+    st.text(alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+            max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    experiment=st.sampled_from(_EXPERIMENTS),
+    entries=st.dictionaries(st.sampled_from(_KNOWN_KEYS + _JUNK_KEYS), _fuzz_values, max_size=6),
+    n=st.integers(min_value=-2, max_value=32).map(lambda k: 2 * k),
+    count=st.integers(min_value=-1, max_value=4),
+    in_file=st.booleans(),
+)
+def test_config_stage_contract_generated(experiment, entries, n, count, in_file):
+    """Any config either exits 1 naming a key (or a builder's key group)
+    before any work, or reaches the work stage."""
+    entries = {**entries, "grid.n": n}
+    if "ensemble.count" in entries:
+        entries["ensemble.count"] = count
+    lines = [f"{key}={_text(value)}" for key, value in entries.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name in _WORK:
+            mp.setattr(cli, name, _reach)
+        mp.setattr(acceptance, "run_all", _reach)
+        argv = [experiment, "--output", str(Path(tmp) / "out")]
+        if in_file:
+            cfg_file = Path(tmp) / "run.cfg"
+            cfg_file.write_text("\n".join(l.replace("=", " = ", 1) for l in lines) + "\n",
+                                encoding="utf-8")
+            argv += ["--config", str(cfg_file)]
+        else:
+            argv += [arg for line in lines for arg in ("--set", line)]
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+        except _Reached:
+            return
+    text = err.getvalue()
+    if rc == 2:
+        # a valid coefficient whose class fit is past the float range fails
+        # numerically while the inputs are built
+        assert "numerical failure in derivative measurement" in text, text
+        return
+    assert rc == 1, (rc, text)
+    assert text.startswith("config error:"), text
+    assert any(name in text for name in [*entries, *_GROUP_ERRORS]), text
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
@@ -426,6 +561,25 @@ def test_numerical_blowup_exits_2(tmp_path, capsys):
     assert "time integration" in err
 
 
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--set", "coeff.name=fourier_decay", "--set", "coeff.fit_alpha_max=170"],
+])
+def test_derivatives_past_the_float_range_exit_2(tmp_path, capsys, extra):
+    # at n=512 the axis Nyquist frequency is 256, and order 129 of the
+    # spectral derivative overflows
+    rc, _ = _run(tmp_path, "class-verify", "--set", "grid.n=512",
+                 "--set", "class.alpha_max=170", *extra)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "numerical failure in derivative measurement" in err and "(129,)" in err
+    # order 128 is still finite; its noise allowance is past the float range
+    rc, out = _run(tmp_path, "class-verify", "--set", "grid.n=512",
+                   "--set", "class.alpha_max=128", tag="order128")
+    assert rc == 0
+    assert "passed = true" in (out / "summary.txt").read_text()
+
+
 def test_failed_assert_exits_3(tmp_path):
     rc, _ = _run(
         tmp_path, "radius-track",
@@ -435,14 +589,28 @@ def test_failed_assert_exits_3(tmp_path):
     assert rc == 3
 
 
-def test_assert_suite_table(tmp_path, capsys):
-    rc, out = _run(
-        tmp_path, "assert-suite",
-        "--set", "acceptance.radius_members=2", "--set", "acceptance.envelope_members=2",
-    )
+def test_assert_suite_table(tmp_path, capsys, monkeypatch):
+    # the criteria themselves run in test_acceptance.py; here only the table
+    # and the exit code are under test
+    def results(failing=()):
+        return [
+            CriterionResult(i, name, i not in failing, f"detail {i}", 0.1, 1.0)
+            for i, name in enumerate(CRITERION_NAMES, start=1)
+        ]
+
+    monkeypatch.setattr(acceptance, "run_all", results)
+    rc, out = _run(tmp_path, "assert-suite")
     text = capsys.readouterr().out
     assert rc == 0, text
     lines = [l for l in text.splitlines() if " PASS " in l or " FAIL " in l]
     assert len(lines) == 10
     assert all(" PASS " in l for l in lines)
+    assert lines[2].endswith("detail 3")
+    assert "10/10 criteria passed" in text
     assert (out / "summary.txt").exists()
+    monkeypatch.setattr(acceptance, "run_all", lambda: results(failing=(4,)))
+    rc, out = _run(tmp_path, "assert-suite", tag="failing")
+    text = capsys.readouterr().out
+    assert rc == 3, text
+    assert " FAIL " in text.splitlines()[4] and "9/10 criteria passed" in text
+    assert "energy-growth-certificate = false" in (out / "summary.txt").read_text()

@@ -350,7 +350,7 @@ def test_smallest_log_affine_dominator_minimal():
     shaved = c * (1.0 - 1e-6)
     assert np.any(np.log(shaved) + shaved * qs < logs)
     # already-satisfied targets return the floor
-    assert smallest_log_affine_dominator([1.0], [0.0], c_min=1.0) == 1.0
+    assert smallest_log_affine_dominator([1.0], [0.0]) == 1.0
     with pytest.raises(ValueError):
         smallest_log_affine_dominator([0.0], [1.0])
 

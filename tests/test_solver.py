@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fracheatlab import norms, solver
 from fracheatlab.spectral import GridSpec, SpectralField, transform, semigroup_apply
@@ -206,6 +207,7 @@ def test_snapshot_rejects_wrong_lengths_and_batches(tmp_path):
         ("odd n", raw[:4] + struct.pack("<BIdd", 1, 9, 2 * np.pi, 0.0) + raw[25:]),
         ("zero period", raw[:4] + struct.pack("<BIdd", 1, 8, 0.0, 0.0) + raw[25:]),
         ("negative period", raw[:4] + struct.pack("<BIdd", 1, 8, -1.0, 0.0) + raw[25:]),
+        ("infinite period", raw[:4] + struct.pack("<BIdd", 1, 8, np.inf, 0.0) + raw[25:]),
     ):
         bad = tmp_path / f"{label}.snap"
         bad.write_bytes(data)
@@ -215,6 +217,32 @@ def test_snapshot_rejects_wrong_lengths_and_batches(tmp_path):
     batch = SpectralField(g, np.stack([f.coeffs, f.coeffs]))
     with pytest.raises(ValueError):
         save_snapshot(tmp_path / "batch.snap", batch)
+
+
+_SNAP_RAW = (
+    b"FHS1" + struct.pack("<BIdd", 1, 8, 2 * np.pi, 0.5)
+    + np.arange(16, dtype="<f8").tobytes()
+)
+
+
+@given(st.one_of(
+    st.integers(0, len(_SNAP_RAW) - 1).map(lambda i: _SNAP_RAW[:i]),
+    st.tuples(st.integers(0, len(_SNAP_RAW) - 1), st.integers(1, 255)).map(
+        lambda f: _SNAP_RAW[:f[0]] + bytes([_SNAP_RAW[f[0]] ^ f[1]]) + _SNAP_RAW[f[0] + 1:]),
+    st.binary(min_size=1, max_size=32).map(lambda extra: _SNAP_RAW + extra),
+))
+def test_load_snapshot_corrupted_generated(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("snap") / "state.snap"
+    path.write_bytes(data)
+    try:
+        fld, t = load_snapshot(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    # whatever loads is exactly what the file encodes
+    again = path.with_name("again.snap")
+    save_snapshot(again, fld, t)
+    assert again.read_bytes() == data
 
 
 def test_step_argument_validation():

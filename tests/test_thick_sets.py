@@ -6,9 +6,11 @@ with the windowed cumulative-sum implementation.
 """
 
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fracheatlab.spectral import GridSpec
 from fracheatlab.rng import make_generator
@@ -189,6 +191,49 @@ def test_bitmask_rejects_wrong_payload_length(tmp_path):
     save_bitmask(odd, build_set("full", g1, scale=0.5))
     assert len(odd.read_bytes()) == 25 + 2
     assert load_bitmask(odd, g1).volume_fraction == 1.0
+
+
+def test_bitmask_rejects_bad_scale_naming_the_file(tmp_path):
+    g = GridSpec(1, 16, 1.0)
+    path = tmp_path / "set.mask"
+    save_bitmask(path, build_set("full", g, scale=0.25))
+    raw = path.read_bytes()
+    for label, scale in (("nan", np.nan), ("inf", np.inf), ("negative", -1.0),
+                         ("subnormal", 5e-324), ("huge", 1e308), ("uneven", 0.3)):
+        bad = tmp_path / f"{label}.mask"
+        bad.write_bytes(raw[:17] + struct.pack("<d", scale) + raw[25:])
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            load_bitmask(bad, g)
+
+
+def _corrupted(raw: bytes):
+    """Truncations, byte flips and appended bytes of a file's contents."""
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda i: raw[:i]),
+        st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)).map(
+            lambda f: raw[:f[0]] + bytes([raw[f[0]] ^ f[1]]) + raw[f[0] + 1:]),
+        st.binary(min_size=1, max_size=16).map(lambda extra: raw + extra),
+    )
+
+
+_MASK_GRID = GridSpec(2, 16, 2 * np.pi)
+_MASK_RAW = (
+    b"FHL1" + struct.pack("<BIdd", 2, 16, 2 * np.pi, np.pi / 2)
+    + np.packbits(make_generator(305, "mask-fuzz").random(256) < 0.5).tobytes()
+)
+
+
+@given(_corrupted(_MASK_RAW))
+def test_load_bitmask_corrupted_generated(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mask") / "set.mask"
+    path.write_bytes(data)
+    try:
+        ts = load_bitmask(path, _MASK_GRID)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    assert ts.indicator.shape == _MASK_GRID.shape
+    assert 0.0 <= ts.gamma <= 1.0 and 0.0 < ts.scale <= _MASK_GRID.period
 
 
 def test_indicator_is_frozen():
