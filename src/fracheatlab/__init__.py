@@ -14,7 +14,6 @@ from .spectral import (
     SpectralField,
     transform,
     inverse,
-    fractional_apply,
     semigroup_apply,
     project,
 )
@@ -24,9 +23,7 @@ from .norms import (
     l2_norm,
     weighted_fourier_norm,
     strip_sup_norm,
-    asigma_norm,
     restricted_l2,
-    smoothing_gain_constant,
 )
 from .coefficients import (
     ClassA1,
@@ -54,7 +51,6 @@ __all__ = [
     "SpectralField",
     "transform",
     "inverse",
-    "fractional_apply",
     "semigroup_apply",
     "project",
     "ExpLinearWeight",
@@ -62,9 +58,7 @@ __all__ = [
     "l2_norm",
     "weighted_fourier_norm",
     "strip_sup_norm",
-    "asigma_norm",
     "restricted_l2",
-    "smoothing_gain_constant",
     "ClassA1",
     "ClassA2",
     "CoefficientField",

@@ -16,7 +16,8 @@ Outputs contain no timestamps, so a rerun with the same config and seed
 produces byte-identical files.
 
 A run has a config stage and a work stage.  The config stage checks every
-key, type, range and choice of the resolved config and builds the
+key, type, range and choice of the resolved config against ``_SCHEMA``, one
+entry per key, and the step count ``dynamics.T / dynamics.dt``, and builds the
 experiment's inputs (grid, coefficient, set, initial data, bands, times);
 it fails with a ``ConfigError`` naming the key or key group before any
 work starts.  The work stage is the experiment's runner.  ``main`` alone
@@ -34,6 +35,7 @@ import json
 import platform
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -81,149 +83,126 @@ _NUMERICAL = {
     FloatingPointError: "derivative measurement",
 }
 
-_COMMON_DEFAULTS = {
-    "grid.dim": 1,
-    "grid.n": 128,
-    "grid.period": _TWO_PI,
-    "coeff.name": "cosine",
-    "coeff.amplitude": 0.5,
-    "coeff.mode": 1,
-    "dynamics.s": 1.5,
-    "dynamics.T": 1.0,
-    "dynamics.dt": 0.005,
-    "dynamics.scheme": "etd2",
-    "run.record_every": 5,
-    "run.seed": 1234,
-    "set.kind": "periodic_slab",
-    "set.scale": _TWO_PI / 4.0,
-    "set.fraction": 0.5,
-    "init.kind": "analytic_decay",
-    "init.radius": 0.5,
-    "init.band": 0.0,
-    "init.mode": 1,
-    "init.amplitude": 1.0,
-    "ensemble.count": 4,
-    "ensemble.kind": "mixed",
-    "output.snapshot": False,
-    "output.save_set": False,
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "simulate": {"set.kind": "none"},
-    "ls-scan": {
-        "grid.n": 64,
-        "grid.period": 1.0,
-        "set.scale": 0.5,
-        "ls.band_min": 0.0,
-        "ls.band_max": 64.0,
-        "ls.band_step": 4.0,
-    },
-    "interp-scan": {
-        "interp.theta_min": 0.1,
-        "interp.theta_max": 0.9,
-        "interp.theta_count": 9,
-        "interp.cap": 1e8,
-        "interp.assert_below": 0.5,
-    },
-    "observability": {"obs.theta": 0.5},
-    "radius-track": {
-        "grid.n": 256,
-        "grid.period": 8.0 * np.pi,
-        "coeff.mode": 4,
-        "dynamics.T": 5.0,
-        "run.record_every": 20,
-        "set.kind": "none",
-        "radius.t_min": 0.1,
-        "radius.floor": 0.0,
-    },
-    "class-verify": {
-        "class.alpha_max": 8,
-        "class.rel_tol": 1e-9,
-        "class.t_values": "0.0",
-    },
-    "assert-suite": {},
-}
-
-# the types a value may have, by the type of its key's default; bool is an
-# int subclass, so a bool value is accepted for bool keys only
+# the types a value may have, by its key's type; bool is an int subclass,
+# so a bool value is accepted for bool keys only
 _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 # the largest magnitude of a number, by its type: floats are finite and ints
 # fit the 64-bit integers the builders convert them to
 _LIMITS = {int: 2**63 - 1, float: sys.float_info.max}
-
-# (low, high, open) bounds of a numeric key, whose type is that of low; the
-# class budgets divide by alpha!, and 171! does not fit in a float
-_RANGES = {
-    "dynamics.s": (1.0, np.inf, True), "dynamics.T": (0.0, np.inf, True),
-    "dynamics.dt": (0.0, np.inf, True), "obs.theta": (0.0, 1.0, True),
-    "ls.band_step": (0.0, np.inf, True), "ls.band_min": (0.0, np.inf, False),
-    "class.rel_tol": (0.0, np.inf, False), "run.record_every": (1, np.inf, False),
-    "ensemble.count": (1, np.inf, False), "interp.theta_count": (1, np.inf, False),
-    "class.alpha_max": (0, 170, False), "coeff.fit_alpha_max": (0, 170, False),
-}
-# the values a string key may take
-_CHOICES = {
-    "dynamics.scheme": ("etd1", "etd2"),
-    "coeff.name": tuple(BUILTIN_COEFFICIENTS),
-    "set.kind": (*SET_BUILDERS, "none"),
-    "init.kind": ("mode", "band_limited", "analytic_decay"),
-}
-# the experiments that measure on an observation set
-_NEEDS_SET = ("ls-scan", "interp-scan", "observability")
 # the most bands one ls-scan computes, each a dense eigensolve
 _MAX_BANDS = 10_000
+# the most steps dynamics.T / dynamics.dt may ask of the integrator
+_MAX_STEPS = 10**9
 
 
-def _keywords(builder, prefix) -> dict:
-    """Config key of each parameter of a coefficient or set builder after
-    its grid, mapped to the parameter's default (``inspect.Parameter.empty``
-    for none, as for a set's scale)."""
-    params = list(inspect.signature(builder).parameters.values())[1:]
-    return {prefix + p.name: p.default for p in params}
+class _Key(NamedTuple):
+    """One config key.  A dict default or choices maps an experiment to its
+    own value and "*" to the others.  A key with no default is a builder
+    keyword that stays out of the config unless set; a key with an owner is
+    accepted by that experiment only."""
+
+    type: type
+    default: object = None
+    range: tuple = None  # (low, high, open)
+    choices: object = None
+    owner: str = None
 
 
-def _key_defaults(experiment: str) -> dict:
-    """Default of every key the experiment accepts: the builders' keyword
-    parameters as coeff.* and set.*, then the tables above."""
-    keys = {}
-    for prefix, registry in (("coeff.", BUILTIN_COEFFICIENTS), ("set.", SET_BUILDERS)):
-        for builder in registry.values():
-            for key, default in _keywords(builder, prefix).items():
-                if default is not inspect.Parameter.empty:
-                    keys.setdefault(key, default)
-    return {**keys, **_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
+def _for_experiment(value, experiment):
+    return value.get(experiment, value["*"]) if isinstance(value, dict) else value
+
+
+_SET_KINDS = tuple(SET_BUILDERS)
+_SCHEMA = {
+    "grid.dim": _Key(int, 1),
+    "grid.n": _Key(int, {"*": 128, "ls-scan": 64, "radius-track": 256}),
+    "grid.period": _Key(float, {"*": _TWO_PI, "ls-scan": 1.0, "radius-track": 8.0 * np.pi}),
+    "coeff.name": _Key(str, "cosine", choices=tuple(BUILTIN_COEFFICIENTS)),
+    "coeff.amplitude": _Key(float, 0.5),
+    "coeff.mode": _Key(int, {"*": 1, "radius-track": 4}),
+    "coeff.value": _Key(float),
+    "coeff.time_freq": _Key(float),
+    "coeff.radius": _Key(float),
+    "coeff.seed": _Key(int),
+    # the class budgets divide by alpha!, and 171! does not fit in a float
+    "coeff.fit_alpha_max": _Key(int, range=(0, 170, False)),
+    "dynamics.s": _Key(float, 1.5, (1.0, np.inf, True)),
+    "dynamics.T": _Key(float, {"*": 1.0, "radius-track": 5.0}, (0.0, np.inf, True)),
+    "dynamics.dt": _Key(float, 0.005, (0.0, np.inf, True)),
+    "dynamics.scheme": _Key(str, "etd2", choices=("etd1", "etd2")),
+    "run.record_every": _Key(int, {"*": 5, "radius-track": 20}, (1, np.inf, False)),
+    "run.seed": _Key(int, 1234),
+    # the experiments that measure on an observation set refuse "none"
+    "set.kind": _Key(
+        str, {"*": "periodic_slab", "simulate": "none", "radius-track": "none"},
+        choices={"*": (*_SET_KINDS, "none"), "ls-scan": _SET_KINDS,
+                 "interp-scan": _SET_KINDS, "observability": _SET_KINDS},
+    ),
+    "set.scale": _Key(float, {"*": _TWO_PI / 4.0, "ls-scan": 0.5}),
+    "set.fraction": _Key(float, 0.5),
+    "set.seed": _Key(int),
+    "set.radius": _Key(float),
+    "init.kind": _Key(str, "analytic_decay", choices=("mode", "band_limited", "analytic_decay")),
+    "init.radius": _Key(float, 0.5),
+    "init.band": _Key(float, 0.0),
+    "init.mode": _Key(int, 1),
+    "init.amplitude": _Key(float, 1.0),
+    "ensemble.count": _Key(int, 4, (1, np.inf, False)),
+    "ensemble.kind": _Key(str, "mixed"),
+    "output.snapshot": _Key(bool, False),
+    "output.save_set": _Key(bool, False),
+    "ls.band_min": _Key(float, 0.0, (0.0, np.inf, False), owner="ls-scan"),
+    "ls.band_max": _Key(float, 64.0, owner="ls-scan"),
+    "ls.band_step": _Key(float, 4.0, (0.0, np.inf, True), owner="ls-scan"),
+    "interp.theta_min": _Key(float, 0.1, owner="interp-scan"),
+    "interp.theta_max": _Key(float, 0.9, owner="interp-scan"),
+    "interp.theta_count": _Key(int, 9, (1, np.inf, False), owner="interp-scan"),
+    "interp.cap": _Key(float, 1e8, owner="interp-scan"),
+    "interp.assert_below": _Key(float, 0.5, owner="interp-scan"),
+    "obs.theta": _Key(float, 0.5, (0.0, 1.0, True), owner="observability"),
+    "radius.t_min": _Key(float, 0.1, owner="radius-track"),
+    "radius.floor": _Key(float, 0.0, owner="radius-track"),
+    "class.alpha_max": _Key(int, 8, (0, 170, False), owner="class-verify"),
+    "class.rel_tol": _Key(float, 1e-9, (0.0, np.inf, False), owner="class-verify"),
+    "class.t_values": _Key(str, "0.0", owner="class-verify"),
+}
 
 
 def _resolve_config(experiment: str, config_path, sets) -> dict:
     """The merged config, every key known and every value of its key's
-    type, finite, in range and writable."""
-    cfg = {**_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
+    type, finite, in range, one of its choices and writable."""
+    schema = {key: spec for key, spec in _SCHEMA.items() if spec.owner in (None, experiment)}
+    cfg = {key: _for_experiment(spec.default, experiment) for key, spec in schema.items()
+           if spec.default is not None}
     if config_path:
         cfg.update(load_config(config_path))
     cfg = apply_overrides(cfg, sets)
-    defaults = _key_defaults(experiment)
     for key, value in cfg.items():
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for {experiment}")
-        kind = type(_RANGES[key][0] if key in _RANGES else defaults[key])
+        kind, bounds = schema[key].type, schema[key].range
+        choices = _for_experiment(schema[key].choices, experiment)
         types = _VALUE_TYPES.get(kind)
         if types and (isinstance(value, bool) != (bool in types) or not isinstance(value, types)):
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
         if types and kind is not bool and not abs(value) <= _LIMITS[type(value)]:
             raise ConfigError(f"{key} must be a finite 64-bit {kind.__name__}, got {value!r}")
-        if key in _RANGES:
-            lo, hi, is_open = _RANGES[key]
+        if bounds:
+            lo, hi, is_open = bounds
             if not (lo < value < hi if is_open else lo <= value <= hi):
                 ends = "()" if is_open else "[]"
                 raise ConfigError(f"{key} {value!r} is not in {ends[0]}{lo}, {hi}{ends[1]}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(f"{key} {value!r} is not one of {sorted(_CHOICES[key])}")
+        if choices and value not in choices:
+            raise ConfigError(f"{key} {value!r} is not one of {sorted(choices)}")
         try:
             format_value(value)
         except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-    if experiment in _NEEDS_SET and cfg["set.kind"] == "none":
-        raise ConfigError(f"{experiment} needs an observation set: set.kind must not be none")
+    T, dt = cfg["dynamics.T"], cfg["dynamics.dt"]
+    if not T / dt <= _MAX_STEPS:
+        raise ConfigError(
+            f"dynamics.T / dynamics.dt ({T!r} / {dt!r}) asks for more than {_MAX_STEPS} steps"
+        )
     return cfg
 
 
@@ -238,7 +217,8 @@ def _grid_from(cfg) -> GridSpec:
 def _builder_args(builder, cfg, prefix) -> dict:
     """The builder's keyword arguments from cfg; keys under prefix that name
     parameters of other builders are dropped."""
-    return {key[len(prefix):]: cfg[key] for key in _keywords(builder, prefix) if key in cfg}
+    names = list(inspect.signature(builder).parameters)[1:]
+    return {name: cfg[prefix + name] for name in names if prefix + name in cfg}
 
 
 def _coeff_from(cfg, grid):

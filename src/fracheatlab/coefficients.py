@@ -19,7 +19,7 @@ any evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
@@ -80,13 +80,6 @@ class ClassA2:
         alpha = tuple(np.atleast_1d(alpha).astype(int))
         return self.C * self.M ** sum(alpha) * _alpha_factorial(alpha) ** self.kappa
 
-    def as_a1(self) -> ClassA1:
-        """The analytic budget implied at kappa = 0: radius 1/M, same C."""
-        if self.kappa != 0.0:
-            raise ValueError("only a kappa = 0 budget embeds with radius 1/M")
-        r = np.inf if self.M == 0.0 else 1.0 / self.M
-        return ClassA1(C=self.C, R=r)
-
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -101,7 +94,6 @@ class CoefficientField:
     evaluator: Callable[[float], np.ndarray]
     class_info: object = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def sample(self, t: float) -> np.ndarray:
         out = np.asarray(self.evaluator(t), dtype=float)
@@ -120,32 +112,31 @@ def _zero(grid: GridSpec) -> CoefficientField:
 def _constant(grid: GridSpec, value: float = 1.0) -> CoefficientField:
     samples = np.full(grid.shape, float(value))
     return CoefficientField(
-        grid, lambda t: samples, ClassA1(C=abs(float(value)), R=1.0),
-        "constant", {"value": float(value)},
+        grid, lambda t: samples, ClassA1(C=abs(float(value)), R=1.0), "constant"
     )
+
+
+def _wavenumber(grid: GridSpec, mode: int) -> float:
+    """Wavenumber of an x1 cosine; a mode outside [1, n/2) would alias to a
+    lower one on the grid while its class kept the requested mode."""
+    mode = int(mode)
+    if not 1 <= mode < grid.n // 2:
+        raise ValueError(f"mode must lie in [1, n/2) = [1, {grid.n // 2}), got {mode}")
+    return 2.0 * np.pi * mode / grid.period
 
 
 def _cosine(grid: GridSpec, amplitude: float = 1.0, mode: int = 1) -> CoefficientField:
-    mode = int(mode)
-    if mode < 1:
-        raise ValueError(f"mode must be a positive integer, got {mode}")
-    k = 2.0 * np.pi * mode / grid.period
+    k = _wavenumber(grid, mode)
     x1 = grid.x_axes[0]
     samples = np.broadcast_to(amplitude * np.cos(k * x1), grid.shape).copy()
     info = ClassA2(C=abs(float(amplitude)), M=k, kappa=0.0)
-    return CoefficientField(
-        grid, lambda t: samples, info, "cosine",
-        {"amplitude": float(amplitude), "mode": mode},
-    )
+    return CoefficientField(grid, lambda t: samples, info, "cosine")
 
 
 def _time_cosine(
     grid: GridSpec, amplitude: float = 1.0, mode: int = 1, time_freq: float = 1.0
 ) -> CoefficientField:
-    mode = int(mode)
-    if mode < 1:
-        raise ValueError(f"mode must be a positive integer, got {mode}")
-    k = 2.0 * np.pi * mode / grid.period
+    k = _wavenumber(grid, mode)
     x1 = grid.x_axes[0]
 
     def evaluate(t):
@@ -155,10 +146,7 @@ def _time_cosine(
         ).copy()
 
     info = ClassA2(C=abs(float(amplitude)), M=k, kappa=0.0)
-    return CoefficientField(
-        grid, evaluate, info, "time_cosine",
-        {"amplitude": float(amplitude), "mode": mode, "time_freq": float(time_freq)},
-    )
+    return CoefficientField(grid, evaluate, info, "time_cosine")
 
 
 def _fourier_decay(
@@ -187,10 +175,7 @@ def _fourier_decay(
     for alpha, obs in zip(alphas, derivative_sup(grid, samples, alphas).tolist()):
         fitted = max(fitted, obs * declared_r ** sum(alpha) / _alpha_factorial(alpha))
     info = ClassA1(C=fitted, R=declared_r)
-    return CoefficientField(
-        grid, lambda t: samples, info, "fourier_decay",
-        {"radius": float(radius), "seed": int(seed)},
-    )
+    return CoefficientField(grid, lambda t: samples, info, "fourier_decay")
 
 
 BUILTIN_COEFFICIENTS = {

@@ -409,15 +409,6 @@ class LiftReport:
     absorbed_constant: float
     gap_range: tuple
 
-    def bound(self, gap: float) -> float:
-        """Space-time constant C*(2/gap)^theta * exp(C*2^delta/gap^delta)."""
-        c, th, de = self.premise_constant, self.theta, self.gap_exponent
-        return c * (2.0 / gap) ** th * np.exp(c * 2.0**de / gap**de)
-
-    def absorbed_bound(self, gap: float) -> float:
-        c0, de = self.absorbed_constant, self.gap_exponent
-        return c0 * np.exp(c0 / gap**de)
-
 
 def spacetime_lift(
     premise_constant: float,

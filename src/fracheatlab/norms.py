@@ -1,6 +1,6 @@
 """Norms and analyticity functionals for spectral fields.
 
-Four families are provided:
+Three families are provided:
 
 * plain L2 (unitary, so it is just the Euclidean norm of the coefficients);
 * exponentially weighted Fourier norms, with a linear-exponential weight
@@ -9,11 +9,7 @@ Four families are provided:
   imaginary displacement y with |y| < sigma, realized in Fourier space as
   the multiplier exp(y.k) and discretized over a uniform grid of directions
   and radii (the reported value is a lower bound of the true supremum and
-  converges as y_samples grows);
-* a majorant norm built from derivative suprema,
-  sum_alpha sigma^|alpha| * sup|d^alpha f| / alpha!, truncated at a total
-  order alpha_max with the last order sum reported as the truncation
-  indicator.
+  converges as y_samples grows).
 
 The restricted physical-space L2 norm rounds out the set; it is a
 quadrature sum over the sample grid.
@@ -34,11 +30,8 @@ __all__ = [
     "l2_norm",
     "weighted_fourier_norm",
     "strip_sup_norm",
-    "asigma_norm",
-    "asigma_order_sums",
     "derivative_sup",
     "restricted_l2",
-    "smoothing_gain_constant",
 ]
 
 
@@ -199,38 +192,6 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     return sups if batched else float(sups[0])
 
 
-def asigma_order_sums(a, t: float, sigma: float, alpha_max: int | None = None) -> np.ndarray:
-    """Per-total-order contributions to the derivative-majorant norm.
-
-    Entry s is sum over |alpha| = s of sigma^s * sup|d^alpha a(t,.)| / alpha!.
-    The last entry is the natural truncation indicator; the full norm is the
-    sum of all entries.
-    """
-    grid = a.grid
-    if alpha_max is None:
-        alpha_max = 24 if grid.dim == 1 else 12
-    if alpha_max < 0:
-        raise ValueError(f"alpha_max must be nonnegative, got {alpha_max}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    alphas = _multi_indices(grid.dim, alpha_max)
-    sups = derivative_sup(grid, a.sample(t), alphas)
-    sums = np.zeros(alpha_max + 1)
-    for alpha, sup in zip(alphas, sups):
-        order = sum(alpha)
-        sums[order] += sigma**order / _alpha_factorial(alpha) * sup
-    return sums
-
-
-def asigma_norm(a, t: float, sigma: float, alpha_max: int | None = None) -> float:
-    """Truncated derivative-majorant norm of a coefficient field at time t.
-
-    Nondecreasing in alpha_max; check asigma_order_sums(...)[-1] when the
-    truncation level matters.
-    """
-    return float(np.sum(asigma_order_sums(a, t, sigma, alpha_max)))
-
-
 def _indicator_of(obs) -> np.ndarray:
     ind = getattr(obs, "indicator", obs)
     return np.asarray(ind, dtype=bool)
@@ -252,16 +213,3 @@ def restricted_l2(field: SpectralField, obs):
         )
     sq = np.abs(inverse(field)[..., ind]) ** 2
     return _per_member(field, sq, lambda v: np.sqrt(np.sum(v) * grid.cell_volume))
-
-
-def smoothing_gain_constant(s: float) -> float:
-    """sup over r >= 0 of exp(r - r^s), the uniform price of trading one
-    semigroup application at time t for the analytic weight exp(t^(1/s)|k|).
-
-    Finite exactly when s > 1, attained at r = s^(-1/(s-1)) where the value
-    is exp(r*(1 - 1/s)).
-    """
-    if not s > 1:
-        raise ValueError(f"requires s > 1, got {s}")
-    r = s ** (-1.0 / (s - 1.0))
-    return float(np.exp(r * (1.0 - 1.0 / s)))

@@ -21,7 +21,6 @@ __all__ = [
     "SpectralField",
     "transform",
     "inverse",
-    "fractional_apply",
     "semigroup_apply",
     "project",
 ]
@@ -195,16 +194,6 @@ def inverse(field: SpectralField) -> np.ndarray:
     grid = field.grid
     scale = grid.n**grid.dim / grid.period ** (grid.dim / 2.0)
     return np.fft.ifftn(field.coeffs, axes=grid.axes) * scale
-
-
-def fractional_apply(field: SpectralField, s: float) -> SpectralField:
-    """Apply the fractional dissipation operator, multiplier |k|^s.
-
-    The zero mode is annihilated (0^s = 0 for s > 0).
-    """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    return field.with_coeffs(field.coeffs * field.grid.k_mag**s)
 
 
 def semigroup_apply(field: SpectralField, s: float, t: float) -> SpectralField:

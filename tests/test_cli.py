@@ -417,11 +417,35 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
                                  "--set", "coeff.fit_alpha_max=-1"]),
         ("coeff.fit_alpha_max", ["class-verify", "--set", "coeff.name=fourier_decay",
                                  "--set", "coeff.fit_alpha_max=171"]),
+        # the step count is bounded before it can pass the float range
+        ("dynamics.T / dynamics.dt", ["simulate", "--set", "dynamics.T=1e300",
+                                      "--set", "dynamics.dt=1e-10"]),
+        # a mode at or past n/2 aliases to a lower one
+        ("invalid coeff.* settings", ["class-verify", "--set", "coeff.mode=100"]),
+        ("invalid coeff.* settings", ["radius-track", "--set", "coeff.mode=128"]),
     ):
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
         assert key in capsys.readouterr().err, argv
 
+
+# config_hash of each experiment's default config: a default given to the
+# wrong experiment changes one
+_DEFAULT_HASHES = {
+    "simulate": "8c252cf9d8cb74b1c548d60162b3d490262b0c6e0d4e2afc60f43a25ec8fd5b5",
+    "ls-scan": "ddf4aa6d8a9f929897b5827f928a7c46ba0de94d2a1bb1a8e7ad5bef7480640e",
+    "interp-scan": "e21bc663270b44907d80c8bdd839481d911d55f68f396031afc21979d40aebaf",
+    "observability": "cb7a3f8df9b85e41d528bcf3a1cfb85021e59bda3137fc2e7a617aa5bbcac0fd",
+    "radius-track": "67473c008d6a07cc8145cba45395422fcf333d434ee47edd7331d3a02b8f1c86",
+    "class-verify": "f2ccb2bb94f8974221a8198429593d603f628089024e2b7d6eb1926119a15895",
+    "assert-suite": "b7d327f45a0057e6841e18841fc031f0b4c49ccb633d3235bb8aa411fd1bd20e",
+}
+
+
+def test_default_config_hashes_are_pinned():
+    assert set(_DEFAULT_HASHES) == set(cli._RUNNERS)
+    for experiment, digest in _DEFAULT_HASHES.items():
+        assert config_hash(cli._resolve_config(experiment, None, None)) == digest, experiment
 
 
 @pytest.mark.parametrize("error", [KeyError("l2_on_E"), ValueError("a bug")])
@@ -444,7 +468,7 @@ def _reach(*args, **kwargs):
 
 
 _EXPERIMENTS = tuple(cli._RUNNERS)
-_KNOWN_KEYS = sorted({key for e in _EXPERIMENTS for key in cli._key_defaults(e)})
+_KNOWN_KEYS = sorted(cli._SCHEMA)
 _JUNK_KEYS = ["acceptance.typo", "grid.bogus", "coeff.grid", "set.scales", "x", "a.b.c"]
 # how a builder's failure names its key group
 _GROUP_ERRORS = [f"invalid {group}.* settings" for group in ("grid", *cli._BUILDERS)]

@@ -27,19 +27,6 @@ def test_budget_values():
         ClassA2(C=1.0, M=1.0, kappa=1.0)
 
 
-def test_entire_budget_embeds_as_analytic():
-    a2 = ClassA2(C=0.7, M=4.0, kappa=0.0)
-    a1 = a2.as_a1()
-    assert a1.C == 0.7
-    assert a1.R == pytest.approx(0.25)
-    # the embedded budget dominates order by order (equality at kappa = 0
-    # happens only at order <= 1)
-    for m in range(6):
-        assert a2.derivative_bound((m,)) <= a1.derivative_bound((m,)) + 1e-15
-    with pytest.raises(ValueError):
-        ClassA2(C=1.0, M=1.0, kappa=0.5).as_a1()
-
-
 def test_builtin_registry_and_validation():
     g = GridSpec(1, 32, 2 * np.pi)
     assert set(BUILTIN_COEFFICIENTS) == {
@@ -47,8 +34,11 @@ def test_builtin_registry_and_validation():
     }
     with pytest.raises(ValueError):
         builtin_coefficient("nope", g)
-    with pytest.raises(ValueError):
-        builtin_coefficient("cosine", g, mode=0)
+    # modes must lie in [1, n/2): mode 16 on 32 points aliases
+    for name, mode in (("cosine", 0), ("cosine", 16), ("time_cosine", 40)):
+        with pytest.raises(ValueError, match="mode"):
+            builtin_coefficient(name, g, mode=mode)
+    assert builtin_coefficient("cosine", g, mode=15).class_info.M == pytest.approx(15.0)
     a = builtin_coefficient("constant", g, value=-2.5)
     assert np.all(a.sample(0.0) == -2.5)
     assert a.class_info.C == 2.5

@@ -8,7 +8,6 @@ small grids in both dimensions.
 """
 
 import tracemalloc
-from math import factorial
 
 import numpy as np
 import pytest
@@ -22,12 +21,9 @@ from fracheatlab.norms import (
     l2_norm,
     weighted_fourier_norm,
     strip_sup_norm,
-    asigma_norm,
-    asigma_order_sums,
     derivative_sup,
     restricted_l2,
     _multi_indices,
-    smoothing_gain_constant,
 )
 from fracheatlab.coefficients import builtin_coefficient
 
@@ -229,22 +225,6 @@ def test_derivative_sup_holds_one_partial_inverse_at_a_time():
     assert peak < 8 * samples.size * np.dtype(complex).itemsize
 
 
-def test_asigma_order_sums_cosine():
-    """For a = A*cos(x) the order-m term is A*sigma^m/m!, so the truncated
-    norm converges to A*e^sigma from below (up to differentiation noise)."""
-    g = GridSpec(1, 16, 2 * np.pi)
-    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
-    sigma = 0.8
-    sums = asigma_order_sums(a, 0.0, sigma, alpha_max=8)
-    expect = np.array([0.5 * sigma**m / factorial(m) for m in range(9)])
-    assert np.allclose(sums, expect, rtol=1e-5)
-    total = asigma_norm(a, 0.0, sigma, alpha_max=8)
-    assert total == pytest.approx(0.5 * np.exp(sigma), rel=1e-4)
-    assert total <= 0.5 * np.exp(sigma) * (1.0 + 1e-6)
-    # nondecreasing in the truncation order
-    assert asigma_norm(a, 0.0, sigma, alpha_max=4) <= total
-
-
 def test_restricted_l2_matches_masked_quadrature():
     g = GridSpec(1, 64, 2 * np.pi)
     rng = make_generator(57, "restricted")
@@ -258,21 +238,6 @@ def test_restricted_l2_matches_masked_quadrature():
     assert restricted_l2(f, np.ones(64, dtype=bool)) == pytest.approx(l2_norm(f), rel=1e-12)
     with pytest.raises(ValueError):
         restricted_l2(f, np.ones(32, dtype=bool))
-
-
-def test_smoothing_gain_closed_form():
-    """sup_r exp(r - r^s) is attained at r = s^(-1/(s-1)) with value
-    exp(r*(1 - 1/s)); a brute-force scan over r must agree."""
-    r = np.linspace(0.0, 10.0, 200001)
-    for s in (1.2, 1.5, 2.0, 3.0):
-        r_star = s ** (-1.0 / (s - 1.0))
-        exact = np.exp(r_star * (1.0 - 1.0 / s))
-        assert smoothing_gain_constant(s) == pytest.approx(exact, rel=1e-12)
-        scanned = float(np.max(np.exp(r - r**s)))
-        assert scanned <= smoothing_gain_constant(s) * (1.0 + 1e-14)
-        assert scanned == pytest.approx(smoothing_gain_constant(s), rel=1e-9)
-    with pytest.raises(ValueError):
-        smoothing_gain_constant(1.0)
 
 
 def _pair_batch(g):

@@ -14,7 +14,6 @@ from fracheatlab.spectral import (
     SpectralField,
     transform,
     inverse,
-    fractional_apply,
     semigroup_apply,
     project,
 )
@@ -106,19 +105,6 @@ def test_projection_complements():
         assert np.array_equal(again.coeffs, lo.coeffs)
     with pytest.raises(ValueError):
         project(f, 1.0, side="middle")
-
-
-def test_fractional_multiplier_single_mode():
-    g = GridSpec(1, 64, 2 * np.pi)
-    c = np.zeros(64, dtype=complex)
-    c[5] = 2.0
-    f = SpectralField(g, c)
-    out = fractional_apply(f, 1.5)
-    assert out.coeffs[5] == pytest.approx(2.0 * 5.0**1.5, rel=1e-14)
-    assert np.sum(np.abs(out.coeffs) > 0) == 1
-    # zero mode is annihilated
-    dc = SpectralField(g, np.eye(1, 64, 0, dtype=complex).ravel())
-    assert np.all(fractional_apply(dc, 1.5).coeffs == 0.0)
 
 
 def test_semigroup_single_mode_and_composition():
