@@ -52,7 +52,7 @@ from .config import (
 from .spectral import GridSpec, SpectralField
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from .thick_sets import SET_BUILDERS, build_set, save_bitmask
-from .solver import IntegrationError, energy_certificate, simulate, save_snapshot
+from .solver import IntegrationError, _step_schedule, energy_certificate, save_snapshot, simulate
 from .ensembles import make_ensemble, random_analytic_decay, random_band_limited, single_mode
 from .rng import make_generator
 from .inequality_lab import (
@@ -433,11 +433,35 @@ def run_ls_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
+def _read_horizon(T: float, dt: float, record_every: int, t_cap: float) -> tuple:
+    """(horizon, steps) of a run that ends at the last record inside
+    (0, t_cap]: it takes the full run's first steps and records the same
+    times, bit for bit.  The full horizon stays when the full run's last
+    record is inside, or when the float horizon would not give exactly
+    those steps."""
+    n_full, remainder = _step_schedule(T, dt)
+    steps = n_full + (1 if remainder > 0 else 0)
+    if T <= t_cap + 1e-12:
+        return T, steps
+    # step j < steps records at time (j - 1)*dt + dt when record_every divides j
+    j = min(steps - 1, int((t_cap + 1e-12) / dt) + 1) // record_every * record_every
+    while j > 0 and (j - 1) * dt + dt > t_cap + 1e-12:
+        j -= record_every
+    horizon = (j - 1) * dt + dt if j else 0.0
+    if _step_schedule(horizon, dt) != (j, 0.0):
+        return T, steps
+    return horizon, j
+
+
 def run_interp_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
     t_cap = min(float(cfg["dynamics.T"]), 1.0)
     delta = float(cfg["dynamics.s"]) - 1.0
+    # only records inside (0, t_cap] are read, so the run stops at the last
+    horizon, steps = _read_horizon(
+        float(cfg["dynamics.T"]), float(cfg["dynamics.dt"]), int(cfg["run.record_every"]), t_cap
+    )
     batch = SpectralField(inputs["grid"], np.stack([f.coeffs for f in inputs["ensemble"]]))
-    traj = _simulate_stage(batch, inputs["coeff"], cfg, inputs["set"])
+    traj = _simulate_stage(batch, inputs["coeff"], {**cfg, "dynamics.T": horizon}, inputs["set"])
     qs, log_l2j, log_l2ej, log_l2i, skipped = _interp_pairs(
         traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"], t_cap, delta
     )
@@ -469,6 +493,9 @@ def run_interp_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         ("breakdown_theta", "none" if breakdown is None else breakdown),
         ("constant_min", float(np.min(constants))),
         ("constant_max", float(np.max(constants))),
+        ("integrated_to", traj.final_time),
+        ("steps", steps),
+        ("constants_at_floor", sum(c == 1.0 for c in constants)),
     ]
     _write_results(outdir, "interp-scan", cfg, lines)
     print(f"wrote {outdir / 'interp_constants.csv'}")
@@ -504,6 +531,7 @@ def run_observability(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
     lines = [
         ("empirical_ratio", rep.empirical_ratio),
         ("premise_constant", rep.premise_constant),
+        ("premise_source", rep.premise_source),
         ("absorbed_constant", rep.absorbed_constant),
         ("telescoped_bound", rep.telescoped_bound),
         ("log_telescoped_bound", rep.log_telescoped_bound),

@@ -451,6 +451,9 @@ class ObservabilityReport:
     member_ratios: np.ndarray
     empirical_ratio: float
     premise_constant: float
+    # "energy" when the energy-growth factor exceeds the interpolation
+    # constant, else "interpolation"
+    premise_source: str
     absorbed_constant: float
     telescoped_bound: float
     log_telescoped_bound: float
@@ -538,8 +541,8 @@ def observability_experiment(
     flagged[live] = skipped > 0
     degenerate = [int(i) for i in np.flatnonzero(flagged)]
 
-    c_premise = smallest_log_affine_dominator(pair_qs, pair_logs)
-    c_premise = max(c_premise, energy_max)
+    c_interp = smallest_log_affine_dominator(pair_qs, pair_logs)
+    c_premise = max(c_interp, energy_max)
     lift = spacetime_lift(c_premise, delta, theta, gap_range=(1e-6, t_cap))
     tele = telescope_constant(lift.absorbed_constant, theta, delta, t_cap)
     if total_time > 1.0:
@@ -560,6 +563,7 @@ def observability_experiment(
         member_ratios=np.asarray(ratios),
         empirical_ratio=float(empirical),
         premise_constant=float(c_premise),
+        premise_source="interpolation" if c_interp >= energy_max else "energy",
         absorbed_constant=float(lift.absorbed_constant),
         telescoped_bound=bound,
         log_telescoped_bound=float(log_bound),

@@ -13,7 +13,9 @@ before and after, so quadratic aliasing never reaches retained modes.
 A state may be a batch of fields on a leading member axis; every member
 is advanced by the same transforms.  The weights are built once per
 (grid, s, step size), and the dealiased physical coefficient is reused
-for as long as a(t, .) samples to the same values.
+for as long as a(t, .) samples to the same values.  The product terms are
+formed in a workspace kept per state shape, so a step allocates only the
+state it returns.
 """
 
 from __future__ import annotations
@@ -100,18 +102,30 @@ def _dealiased_a(grid: GridSpec, a_samples: np.ndarray) -> np.ndarray:
     return a_phys
 
 
-def _product_term(grid: GridSpec, a_phys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Spectral coefficients of dealias(a) * dealias(u), dealiased again.
+# three complex buffers of the last state shape stepped, shared by every
+# caller, so steps must not run concurrently; freed per-step temporaries let
+# glibc trim and regrow the heap, about 20% of a 24-member n=256 ensemble's time
+_work = [None, ()]
 
-    Computed in the transform's buffer, keeping each operand order (a complex
-    product's rounding depends on it): freed per-step temporaries let glibc
-    trim and regrow the heap, about 20% of a 24-member n=256 ensemble's time.
-    """
+
+def _workspace(shape: tuple) -> tuple:
+    if _work[0] != shape:
+        _work[:] = shape, tuple(np.empty(shape, dtype=complex) for _ in range(3))
+    return _work[1]
+
+
+def _product_term(
+    grid: GridSpec, a_phys: np.ndarray, coeffs: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Spectral coefficients of dealias(a) * dealias(u), dealiased again,
+    computed in ``out``; each operand order is kept, since a complex
+    product's rounding depends on it."""
     mask = grid.dealias_mask
-    prod = np.fft.ifftn(coeffs * mask, axes=grid.axes)
-    np.multiply(a_phys, prod, out=prod)
-    np.fft.fftn(prod, axes=grid.axes, out=prod)
-    return np.multiply(prod, mask, out=prod)
+    np.multiply(coeffs, mask, out=out)
+    np.fft.ifftn(out, axes=grid.axes, out=out)
+    np.multiply(a_phys, out, out=out)
+    np.fft.fftn(out, axes=grid.axes, out=out)
+    return np.multiply(out, mask, out=out)
 
 
 def step(
@@ -132,16 +146,17 @@ def step(
         raise ValueError(f"scheme must be 'etd1' or 'etd2', got {scheme!r}")
     grid = u.grid
     semigroup, w1, w2 = _etd_weights(grid, s, dt)
-    n0 = _product_term(grid, _dealiased_a(grid, a.sample(t)), u.coeffs)
-    predictor = semigroup * u.coeffs
-    predictor += w1 * n0
+    n0, predictor, work = _workspace(u.coeffs.shape)
+    _product_term(grid, _dealiased_a(grid, a.sample(t)), u.coeffs, out=n0)
+    np.multiply(semigroup, u.coeffs, out=predictor)
+    np.multiply(w1, n0, out=work)
     if scheme == "etd1":
-        return u.with_coeffs(predictor)
-    n1 = _product_term(grid, _dealiased_a(grid, a.sample(t + dt)), predictor)
-    n1 -= n0  # n1 becomes predictor + w2 * (n1 - n0), in place
+        return u.with_coeffs(predictor + work)
+    predictor += work
+    n1 = _product_term(grid, _dealiased_a(grid, a.sample(t + dt)), predictor, out=work)
+    n1 -= n0  # the state is predictor + w2 * (n1 - n0)
     np.multiply(w2, n1, out=n1)
-    np.add(predictor, n1, out=n1)
-    return u.with_coeffs(n1)
+    return u.with_coeffs(predictor + n1)
 
 
 @dataclass
@@ -179,6 +194,16 @@ class Trajectory:
             states=[f.with_coeffs(f.coeffs[i]) for f in self.states],
             diagnostics={k: v[i] for k, v in self.diagnostics.items()},
         )
+
+
+def _step_schedule(T: float, dt: float) -> tuple:
+    """simulate's steps over T: the number of full steps of dt, then the
+    shortened last step, 0.0 when dt divides T."""
+    n_full = int(np.floor(T / dt + 1e-12))
+    remainder = T - n_full * dt
+    if remainder < 1e-12 * max(dt, 1.0):
+        remainder = 0.0
+    return n_full, remainder
 
 
 def simulate(
@@ -224,10 +249,7 @@ def simulate(
         if obs_set is not None:
             diag["l2_on_E"].append(restricted_l2(f, obs_set))
 
-    n_full = int(np.floor(T / dt + 1e-12))
-    remainder = T - n_full * dt
-    if remainder < 1e-12 * max(dt, 1.0):
-        remainder = 0.0
+    n_full, remainder = _step_schedule(T, dt)
     total_steps = n_full + (1 if remainder > 0 else 0)
 
     _etd_weights.cache_clear()  # weights never outlive the run that built them

@@ -30,13 +30,14 @@ from fracheatlab.config import (
     config_hash,
     load_config,
 )
-from fracheatlab import acceptance, cli
+from fracheatlab import acceptance, cli, solver
 from fracheatlab.acceptance import CRITERION_NAMES, CriterionResult
 from fracheatlab.cli import main
 from fracheatlab.coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from fracheatlab.ensembles import single_mode
+from fracheatlab.inequality_lab import _interp_pairs, smallest_log_affine_dominator
 from fracheatlab.solver import simulate
-from fracheatlab.spectral import GridSpec
+from fracheatlab.spectral import GridSpec, SpectralField
 from fracheatlab.thick_sets import SET_BUILDERS, build_set
 
 
@@ -284,6 +285,96 @@ def test_interp_scan(tmp_path):
     assert len(rows) == 4
 
 
+# (T, dt, record_every) of interp-scan runs past t = 1
+_HORIZONS = [
+    (5.0, 0.005, 20),
+    (2.3, 0.007, 13),
+    (1.0000001, 7e-4, 3),
+    (4.0, 0.1, 3),  # a cadence of 0.3 does not divide 1
+    (3.0, 0.005, 300),  # no record inside (0, 1]: no pairs
+    (1.5, 1e-4, 1),
+]
+
+
+def _horizon_sets(T, dt, every):
+    return [
+        "grid.n=32", "ensemble.count=2", f"dynamics.T={T!r}", f"dynamics.dt={dt!r}",
+        f"run.record_every={every}",
+    ]
+
+
+def _set_flags(sets):
+    return [arg for kv in sets for arg in ("--set", kv)]
+
+
+def _full_horizon_run(sets, T=None):
+    """interp-scan's ensemble integrated to dynamics.T (or T) as one batch."""
+    cfg = cli._resolve_config("interp-scan", None, sets)
+    inputs = cli._build_inputs("interp-scan", cfg)
+    batch = SpectralField(inputs["grid"], np.stack([f.coeffs for f in inputs["ensemble"]]))
+    return simulate(
+        batch, inputs["coeff"], cfg["dynamics.s"], cfg["dynamics.T"] if T is None else T,
+        cfg["dynamics.dt"], record_every=cfg["run.record_every"], obs_set=inputs["set"],
+        store_states=False,
+    )
+
+
+@pytest.mark.parametrize("T, dt, every", _HORIZONS)
+def test_read_horizon_records_what_the_full_run_records(T, dt, every):
+    # every record interp-scan reads, inside (0, min(T, 1)], bit for bit
+    horizon, steps = cli._read_horizon(T, dt, every, min(T, 1.0))
+    assert steps % every == 0 and horizon <= 1.0 + 1e-12
+    full = _full_horizon_run(_horizon_sets(T, dt, every))
+    short = _full_horizon_run(_horizon_sets(T, dt, every), T=horizon)
+    assert len(short.times) == 1 + steps // every
+    assert short.final_time == horizon
+    read = full.times <= 1.0 + 1e-12
+    assert np.array_equal(short.times, full.times[read])
+    for name, rows in full.diagnostics.items():
+        assert np.array_equal(short.diagnostics[name], rows[:, read])
+
+
+@pytest.mark.parametrize("T, dt, every", [h for h in _HORIZONS if h[1] >= 1e-3])
+def test_interp_scan_equals_the_full_horizon_scan(tmp_path, T, dt, every):
+    # the 1e-4 step of _HORIZONS reads 10^4 records, 5*10^7 pairs per member
+    sets = _horizon_sets(T, dt, every)
+    rc, out = _run(tmp_path, "interp-scan", *_set_flags(sets))
+    assert rc == 0
+    full = _full_horizon_run(sets)
+    qs, log_j, log_ej, log_i, skipped = _interp_pairs(
+        full.times, full.diagnostics["l2"], full.diagnostics["l2_on_E"], min(T, 1.0), 0.5
+    )
+    thetas = np.linspace(0.1, 0.9, 9)
+    constants = [
+        smallest_log_affine_dominator(qs, 2.0 * (log_j - th * log_ej - (1.0 - th) * log_i))
+        for th in thetas
+    ]
+    with open(out / "interp_constants.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [[repr(float(th)), repr(c), "ok"] for th, c in zip(thetas, constants)]
+    summary = dict(
+        line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines()
+    )
+    assert summary["pairs"] == str(len(qs))
+    assert summary["degenerate_records"] == str(int(np.sum(skipped))) == "0"
+    assert summary["breakdown_theta"] == "none"
+    assert summary["constant_min"] == repr(float(min(constants)))
+    assert summary["constant_max"] == repr(float(max(constants)))
+    assert summary["constants_at_floor"] == str(constants.count(1.0))
+    assert float(summary["integrated_to"]) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("T, dt, every, steps", [(1.0, 0.005, 5, 200), (0.7, 0.03, 4, 24)])
+def test_interp_scan_up_to_t1_takes_every_step(tmp_path, monkeypatch, T, dt, every, steps):
+    calls, step = [], solver.step
+    monkeypatch.setattr(solver, "step", lambda *args, **kw: calls.append(args) or step(*args, **kw))
+    rc, out = _run(tmp_path, "interp-scan", *_set_flags(_horizon_sets(T, dt, every)))
+    assert rc == 0
+    assert len(calls) == steps
+    summary = (out / "summary.txt").read_text()
+    assert f"integrated_to = {T!r}\n" in summary and f"steps = {steps}\n" in summary
+
+
 def test_observability_run(tmp_path):
     rc, out = _run(tmp_path, "observability", *FAST_SIM, "--assert")
     assert rc == 0
@@ -292,6 +383,8 @@ def test_observability_run(tmp_path):
     assert len(rows) == 3
     summary = (out / "summary.txt").read_text()
     assert "bounded = true" in summary
+    # both constants sit at the floor 1.0, and a tie goes to interpolation
+    assert "premise_source = interpolation" in summary
 
 
 def test_observability_empty_set_reports_gracefully(tmp_path):
@@ -583,6 +676,19 @@ def test_numerical_blowup_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "time integration" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_interp_scan_exit_code_follows_the_records_it_reads(tmp_path, capsys):
+    # a = 400 overflows at t = 2.19, after the last record interp-scan reads
+    grow = ["--set", "grid.n=32", "--set", "coeff.name=constant", "--set", "dynamics.T=3.0"]
+    rc, out = _run(tmp_path, "interp-scan", *grow, "--set", "coeff.value=400.0")
+    assert rc == 0
+    assert "integrated_to = 1.0\n" in (out / "summary.txt").read_text()
+    # a = 2000 overflows before t = 1
+    rc, _ = _run(tmp_path, "interp-scan", *grow, "--set", "coeff.value=2000.0", tag="early")
+    assert rc == 2
+    assert "time integration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [

@@ -19,6 +19,7 @@ from fracheatlab.ensembles import random_analytic_decay, random_band_limited, si
 from fracheatlab.rng import make_generator
 from fracheatlab.thick_sets import ThickSet, build_set
 from fracheatlab.coefficients import builtin_coefficient
+from fracheatlab.solver import simulate
 from fracheatlab.inequality_lab import (
     ThinSetError,
     InsufficientDecayError,
@@ -373,6 +374,28 @@ def test_observability_experiment_small_run():
     # T <= 1: no energy extension factor
     assert rep.energy_factor == 1.0
 
+
+
+@pytest.mark.parametrize("fraction, source", [(0.5, "energy"), (0.05, "interpolation")])
+def test_observability_names_its_premise_source(fraction, source):
+    g = GridSpec(1, 64, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=fraction)
+    ensemble = [
+        random_analytic_decay(g, make_generator(507, "obs", i), 0.5) for i in range(4)
+    ]
+    kw = dict(record_every=2)
+    rep = observability_experiment(a, 1.5, obs, 1.0, 0.01, ensemble, **kw)
+    assert rep.premise_source == source
+    # the energy factor: the largest squared norm growth over recorded pairs
+    growth = 1.0
+    for u0 in ensemble:
+        l2 = simulate(u0, a, 1.5, 1.0, 0.01, **kw).diagnostics["l2"][1:]
+        growth = max(growth, max((l2[j] / l2[i]) ** 2 for j in range(len(l2)) for i in range(j)))
+    if source == "energy":
+        assert rep.premise_constant == pytest.approx(growth, rel=1e-12)
+    else:
+        assert rep.premise_constant > growth * (1.0 + 1e-6)
 
 def test_observability_flags_degenerate_members():
     g = GridSpec(1, 64, 2 * np.pi)

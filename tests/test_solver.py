@@ -9,6 +9,7 @@ acceptance suite repeats them on the contract grid).
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,3 +417,48 @@ def test_batched_integration_error_names_member():
     assert single.value.member is None
     assert single.value.step_index == exc.value.step_index
     assert "member" not in str(single.value)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_warm_step_allocates_only_the_returned_state(scheme, dim):
+    g = GridSpec(dim, 64 if dim == 1 else 16, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    u = _batch(make_ensemble(g, 16 if dim == 1 else 8, seed=54))
+    for _ in range(2):  # weights, dealiased a and workspace
+        u = step(u, a, 1.5, 0.0, 0.01, scheme=scheme)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = step(u, a, 1.5, 0.0, 0.01, scheme=scheme)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    state = out.coeffs.nbytes
+    # the state plus small change (a's samples, the field object); an unplanned
+    # step peaks at four or five states
+    assert state <= kept <= 1.1 * state
+    assert peak <= 1.5 * state
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+def test_interleaved_shapes_equal_separate_runs(scheme):
+    # the step workspace follows the state shape; steps that alternate between
+    # shapes must neither reuse a stale buffer nor return one
+    g1, g2 = GridSpec(1, 32, 2 * np.pi), GridSpec(2, 16, 2 * np.pi)
+    runs = [
+        (_batch(make_ensemble(g, m, seed=seed)), builtin_coefficient("cosine", g, **params))
+        for g, m, seed, params in [
+            (g1, 3, 55, {"amplitude": 0.5, "mode": 1}),
+            (g1, 5, 56, {"amplitude": 0.7, "mode": 2}),
+            (g2, 2, 57, {"amplitude": 0.5, "mode": 1}),
+        ]
+    ]
+    histories = [[u0] for u0, _ in runs]
+    for j in range(10):
+        for (_, a), states in zip(runs, histories):
+            states.append(step(states[-1], a, 1.5, j * 0.02, 0.02, scheme=scheme))
+    for (u0, a), states in zip(runs, histories):
+        traj = simulate(u0, a, 1.5, 0.2, 0.02, scheme=scheme)  # ten equal steps
+        for got, want in zip(states, traj.states, strict=True):
+            assert np.array_equal(got.coeffs, want.coeffs)
