@@ -147,12 +147,11 @@ def _c4_certificate():
     """Energy growth certificate over a 100-member ensemble."""
     grid = GridSpec(1, 128, _TWO_PI)
     a = builtin_coefficient("cosine", grid, amplitude=0.5, mode=1)
-    fields = make_ensemble(grid, 100, seed=404, kind="mixed")
-    batch = SpectralField(grid, np.stack([u0.coeffs for u0 in fields]))
+    batch = make_ensemble(grid, 100, seed=404, kind="mixed")
     traj = simulate(batch, a, 1.5, 1.0, 0.01, record_every=5, store_states=False)
     worst = -np.inf
     failures = 0
-    for i in range(len(fields)):
+    for i in range(100):
         rep = energy_certificate(traj.member(i), a)
         worst = max(worst, rep.worst_excess)
         failures += 0 if rep.passed else 1
@@ -210,16 +209,14 @@ def _c5_ls():
 def _radius_run(count, seed):
     grid = GridSpec(1, 256, 8.0 * np.pi)
     a = builtin_coefficient("cosine", grid, amplitude=0.5, mode=4)
-    fields = make_ensemble(grid, count, seed=seed, kind="analytic_decay",
-                           decay_radius=0.5)
-    batch = SpectralField(grid, np.stack([u0.coeffs for u0 in fields]))
+    batch = make_ensemble(grid, count, seed=seed, kind="analytic_decay", decay_radius=0.5)
     traj = simulate(batch, a, 1.5, 5.0, 0.005, record_every=20)
-    return grid, a, [traj.member(i) for i in range(count)]
+    return [traj.member(i) for i in range(count)]
 
 
 def _c6_radius():
     """Analytic radius stays above 0.2 and finite along 100 trajectories."""
-    _, _, trajs = _radius_run(100, seed=606)
+    trajs = _radius_run(100, seed=606)
     min_radius = np.inf
     worst_resid = 0.0
     n_checked = 0
@@ -243,7 +240,7 @@ def _c6_radius():
 def _c7_envelope():
     """Log-improved weighted norm finite with a nonnegative-residual
     envelope of shape K*exp(K*(t^(-1/(s-1)) + t))."""
-    _, _, trajs = _radius_run(100, seed=707)
+    trajs = _radius_run(100, seed=707)
     weight = ExpLogLogWeight(c=0.3, kappa=0.0)
     times = None
     w_max = None
@@ -301,13 +298,13 @@ def _c9_observability():
     grid = GridSpec(1, 128, _TWO_PI)
     obs = build_set("periodic_slab", grid, scale=np.pi / 2.0, fraction=0.5)
     a = builtin_coefficient("cosine", grid, amplitude=0.5, mode=1)
-    fields = make_ensemble(grid, 8, seed=909, kind="mixed")
+    batch = make_ensemble(grid, 8, seed=909, kind="mixed")
     horizons = (0.25, 0.5, 1.0, 2.0)
     ratios, bounds, oks = [], [], []
     for T in horizons:
-        rep = observability_experiment(
-            a, 1.5, obs, T, 0.005, fields, theta=0.5, record_every=5
-        )
+        traj = simulate(batch, a, 1.5, T, 0.005, record_every=5, obs_set=obs,
+                        store_states=False)
+        rep = observability_experiment(traj, a, theta=0.5)
         if rep.degenerate_members or not np.isfinite(rep.empirical_ratio):
             return False, (
                 f"infinite ratio at T={T:g} "

@@ -7,7 +7,7 @@ experiment reads defaults, optionally merged with ``--config FILE`` (plain
 ``key = value`` lines) and ``--set key=value`` overrides, then writes into
 the output directory:
 
-* one or more CSV files with the measured quantities,
+* one CSV file with the measured quantities (none for ``assert-suite``),
 * ``summary.txt`` with ``key = value`` result lines,
 * ``config.resolved.txt`` (canonical config) and ``metadata.json``
   (config hash, seed, library versions).
@@ -15,15 +15,19 @@ the output directory:
 Outputs contain no timestamps, so a rerun with the same config and seed
 produces byte-identical files.
 
-A run has a config stage and a work stage.  The config stage checks every
-key, type, range and choice of the resolved config against ``_SCHEMA``, one
-entry per key, and the step count ``dynamics.T / dynamics.dt``, and builds the
-experiment's inputs (grid, coefficient, set, initial data, bands, times);
-it fails with a ``ConfigError`` naming the key or key group before any
-work starts.  The work stage is the experiment's runner.  ``main`` alone
-maps exceptions to exit codes: 1 config error, 2 numerical failure (one of
-``_NUMERICAL``, its stage named on stderr), 3 property violation when run
-with ``--assert``.  Any other exception is a bug and propagates.
+A run has a config stage, a work stage and an output stage.  The config
+stage checks every key, type, range and choice of the resolved config against
+``_SCHEMA``, one entry per key, and the step count ``dynamics.T /
+dynamics.dt``, and builds the experiment's inputs (grid, coefficient, set,
+initial data, bands, times); it fails with a ``ConfigError`` naming the key
+or key group before any work starts.  The work stage is the experiment's
+runner: it returns a ``_Result`` holding what it measured and whether its
+property failed, and writes nothing but ``simulate``'s optional snapshot and
+set files.  The output stage in ``main`` writes the files above.  ``main``
+alone maps outcomes to exit codes: 1 config error, 2 numerical failure (one
+of ``_NUMERICAL``, its stage named on stderr), 3 property violation when run
+with ``--assert`` (for ``assert-suite``, always).  Any other exception is a
+bug and propagates.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .config import (
     format_value,
     load_config,
 )
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from .thick_sets import SET_BUILDERS, build_set, save_bitmask
 from .solver import IntegrationError, _step_schedule, energy_certificate, save_snapshot, simulate
@@ -154,8 +158,9 @@ _SCHEMA = {
     "ls.band_min": _Key(float, 0.0, (0.0, np.inf, False), owner="ls-scan"),
     "ls.band_max": _Key(float, 64.0, owner="ls-scan"),
     "ls.band_step": _Key(float, 4.0, (0.0, np.inf, True), owner="ls-scan"),
-    "interp.theta_min": _Key(float, 0.1, owner="interp-scan"),
-    "interp.theta_max": _Key(float, 0.9, owner="interp-scan"),
+    # the Hoelder interpolation exponent lies strictly between 0 and 1
+    "interp.theta_min": _Key(float, 0.1, (0.0, 1.0, True), owner="interp-scan"),
+    "interp.theta_max": _Key(float, 0.9, (0.0, 1.0, True), owner="interp-scan"),
     "interp.theta_count": _Key(int, 9, (1, np.inf, False), owner="interp-scan"),
     "interp.cap": _Key(float, 1e8, owner="interp-scan"),
     "interp.assert_below": _Key(float, 0.5, owner="interp-scan"),
@@ -359,6 +364,18 @@ def _write_results(outdir: Path, experiment: str, cfg, lines) -> None:
     )
 
 
+class _Result(NamedTuple):
+    """What a runner measured, for ``main`` to write: the CSV (no name for
+    assert-suite), the summary lines, and the failed property's message,
+    None when it holds."""
+
+    csv_name: str | None
+    header: list
+    rows: object
+    lines: list
+    violation: str | None
+
+
 def _simulate_stage(u0, a, cfg, obs, store_states=False):
     return simulate(
         u0,
@@ -373,14 +390,9 @@ def _simulate_stage(u0, a, cfg, obs, store_states=False):
     )
 
 
-def run_simulate(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+def run_simulate(cfg, inputs, outdir: Path) -> _Result:
     a, obs = inputs["coeff"], inputs["set"]
     traj = _simulate_stage(inputs["init"], a, cfg, obs, store_states=True)
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["t", *traj.diagnostics],
-        zip(traj.times, *traj.diagnostics.values()),
-    )
     if cfg["output.snapshot"]:
         save_snapshot(outdir / "final_state.snap", traj.final_state, traj.final_time)
     if obs is not None and cfg["output.save_set"]:
@@ -395,22 +407,17 @@ def run_simulate(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         ("energy_certificate_sup_coeff", cert.sup_coeff),
         ("energy_certificate_worst_excess", cert.worst_excess),
     ]
-    _write_results(outdir, "simulate", cfg, lines)
-    print(f"wrote {outdir / 'trajectory.csv'}")
-    if assert_mode and not cert.passed:
-        print("assert: energy certificate violated", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _Result(
+        "trajectory.csv", ["t", *traj.diagnostics],
+        zip(traj.times, *traj.diagnostics.values()), lines,
+        None if cert.passed else "energy certificate violated",
+    )
 
 
-def run_ls_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+def run_ls_scan(cfg, inputs, outdir: Path) -> _Result:
     obs = inputs["set"]
     fit = ls_growth_fit(obs, inputs["ls"])
-    rows = [
-        (band, const, status)
-        for band, const, status in zip(fit.bands, fit.constants, fit.statuses)
-    ]
-    _write_csv(outdir / "ls_constants.csv", ["band", "constant", "status"], rows)
+    rows = zip(fit.bands, fit.constants, fit.statuses)
     resolved_b, resolved_c = fit.resolved()
     lines = [
         ("set_thickness", obs.gamma),
@@ -420,17 +427,12 @@ def run_ls_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         ("log_fit_intercept", fit.intercept),
         ("log_fit_residual_rms", fit.residual_rms),
     ]
-    _write_results(outdir, "ls-scan", cfg, lines)
-    print(f"wrote {outdir / 'ls_constants.csv'}")
-    if assert_mode:
-        mono = all(
-            resolved_c[i] <= resolved_c[i + 1] * (1.0 + 1e-9)
-            for i in range(len(resolved_c) - 1)
-        )
-        if len(resolved_c) < 2 or not mono:
-            print("assert: restriction constants not resolvable/monotone", file=sys.stderr)
-            return EXIT_ASSERT
-    return EXIT_OK
+    monotone = all(lo <= hi * (1.0 + 1e-9) for lo, hi in zip(resolved_c, resolved_c[1:]))
+    return _Result(
+        "ls_constants.csv", ["band", "constant", "status"], rows, lines,
+        None if len(resolved_c) >= 2 and monotone
+        else "restriction constants not resolvable/monotone",
+    )
 
 
 def _read_horizon(T: float, dt: float, record_every: int, t_cap: float) -> tuple:
@@ -453,15 +455,16 @@ def _read_horizon(T: float, dt: float, record_every: int, t_cap: float) -> tuple
     return horizon, j
 
 
-def run_interp_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+def run_interp_scan(cfg, inputs, outdir: Path) -> _Result:
     t_cap = min(float(cfg["dynamics.T"]), 1.0)
     delta = float(cfg["dynamics.s"]) - 1.0
     # only records inside (0, t_cap] are read, so the run stops at the last
     horizon, steps = _read_horizon(
         float(cfg["dynamics.T"]), float(cfg["dynamics.dt"]), int(cfg["run.record_every"]), t_cap
     )
-    batch = SpectralField(inputs["grid"], np.stack([f.coeffs for f in inputs["ensemble"]]))
-    traj = _simulate_stage(batch, inputs["coeff"], {**cfg, "dynamics.T": horizon}, inputs["set"])
+    traj = _simulate_stage(
+        inputs["ensemble"], inputs["coeff"], {**cfg, "dynamics.T": horizon}, inputs["set"]
+    )
     qs, log_l2j, log_l2ej, log_l2i, skipped = _interp_pairs(
         traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"], t_cap, delta
     )
@@ -483,7 +486,6 @@ def run_interp_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         c_theta = smallest_log_affine_dominator(qs, log_ratio)
         constants.append(c_theta)
         rows.append((theta, c_theta, "ok" if c_theta <= cap else "above_cap"))
-    _write_csv(outdir / "interp_constants.csv", ["theta", "constant", "status"], rows)
     breakdown = next(
         (thetas[i] for i, c in enumerate(constants) if not c <= cap), None
     )
@@ -497,37 +499,16 @@ def run_interp_scan(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         ("steps", steps),
         ("constants_at_floor", sum(c == 1.0 for c in constants)),
     ]
-    _write_results(outdir, "interp-scan", cfg, lines)
-    print(f"wrote {outdir / 'interp_constants.csv'}")
-    if assert_mode:
-        limit = float(cfg["interp.assert_below"])
-        bad = [
-            t for t, c in zip(thetas, constants)
-            if t <= limit + 1e-12 and not np.isfinite(c)
-        ]
-        if bad:
-            print(
-                f"assert: interpolation constant unbounded at theta {bad[0]:g}",
-                file=sys.stderr,
-            )
-            return EXIT_ASSERT
-    return EXIT_OK
+    limit = float(cfg["interp.assert_below"])
+    bad = [t for t, c in zip(thetas, constants) if t <= limit + 1e-12 and not np.isfinite(c)]
+    violation = f"interpolation constant unbounded at theta {bad[0]:g}" if bad else None
+    return _Result("interp_constants.csv", ["theta", "constant", "status"], rows, lines, violation)
 
 
-def run_observability(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
-    rep = observability_experiment(
-        inputs["coeff"],
-        float(cfg["dynamics.s"]),
-        inputs["set"],
-        float(cfg["dynamics.T"]),
-        float(cfg["dynamics.dt"]),
-        inputs["ensemble"],
-        theta=float(cfg["obs.theta"]),
-        record_every=int(cfg["run.record_every"]),
-        scheme=str(cfg["dynamics.scheme"]),
-    )
-    rows = [(i, r) for i, r in enumerate(rep.member_ratios)]
-    _write_csv(outdir / "observability.csv", ["member", "ratio"], rows)
+def run_observability(cfg, inputs, outdir: Path) -> _Result:
+    a = inputs["coeff"]
+    traj = _simulate_stage(inputs["ensemble"], a, cfg, inputs["set"])
+    rep = observability_experiment(traj, a, theta=float(cfg["obs.theta"]))
     lines = [
         ("empirical_ratio", rep.empirical_ratio),
         ("premise_constant", rep.premise_constant),
@@ -539,15 +520,13 @@ def run_observability(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         ("degenerate_members", ",".join(map(str, rep.degenerate_members)) or "none"),
         ("bounded", rep.passed),
     ]
-    _write_results(outdir, "observability", cfg, lines)
-    print(f"wrote {outdir / 'observability.csv'}")
-    if assert_mode and not rep.passed:
-        print("assert: empirical ratio exceeds the assembled bound", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _Result(
+        "observability.csv", ["member", "ratio"], enumerate(rep.member_ratios), lines,
+        None if rep.passed else "empirical ratio exceeds the assembled bound",
+    )
 
 
-def run_radius_track(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+def run_radius_track(cfg, inputs, outdir: Path) -> _Result:
     traj = _simulate_stage(inputs["init"], inputs["coeff"], cfg, None, store_states=True)
     t_min = float(cfg["radius.t_min"])
     rows = []
@@ -559,27 +538,19 @@ def run_radius_track(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
         rows.append((t, fit.value, fit.status, fit.n_shells, fit.residual_rms))
         if fit.status == "ok":
             tracked.append(fit.value)
-    _write_csv(
-        outdir / "radius_track.csv",
-        ["t", "radius", "status", "n_shells", "residual_rms"],
-        rows,
-    )
     lines = [
         ("tracked_times", len(rows)),
         ("radius_min", float(np.min(tracked)) if tracked else np.inf),
         ("radius_max", float(np.max(tracked)) if tracked else np.inf),
     ]
-    _write_results(outdir, "radius-track", cfg, lines)
-    print(f"wrote {outdir / 'radius_track.csv'}")
-    if assert_mode:
-        floor = float(cfg["radius.floor"])
-        if not tracked or min(tracked) < floor:
-            print("assert: analytic radius fell below the floor", file=sys.stderr)
-            return EXIT_ASSERT
-    return EXIT_OK
+    fell = not tracked or min(tracked) < float(cfg["radius.floor"])
+    return _Result(
+        "radius_track.csv", ["t", "radius", "status", "n_shells", "residual_rms"], rows, lines,
+        "analytic radius fell below the floor" if fell else None,
+    )
 
 
-def run_class_verify(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+def run_class_verify(cfg, inputs, outdir: Path) -> _Result:
     a = inputs["coeff"]
     alpha_max = int(cfg["class.alpha_max"])
     rel_tol = float(cfg["class.rel_tol"])
@@ -587,24 +558,19 @@ def run_class_verify(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
     rows = [
         (t, ratio <= 1.0, ratio, "|".join(map(str, alpha))) for t, ratio, alpha in rep.rows
     ]
-    _write_csv(
-        outdir / "class_check.csv", ["t", "passed", "worst_ratio", "worst_alpha"], rows
-    )
     lines = [
         ("coefficient", a.name),
         ("alpha_max", alpha_max),
         ("passed", rep.passed),
         ("worst_ratio", rep.worst_ratio),
     ]
-    _write_results(outdir, "class-verify", cfg, lines)
-    print(f"wrote {outdir / 'class_check.csv'}")
-    if assert_mode and not rep.passed:
-        print("assert: measured derivatives exceed the declared class", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _Result(
+        "class_check.csv", ["t", "passed", "worst_ratio", "worst_alpha"], rows, lines,
+        None if rep.passed else "measured derivatives exceed the declared class",
+    )
 
 
-def run_assert_suite(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
+def run_assert_suite(cfg, inputs, outdir: Path) -> _Result:
     results = acceptance.run_all()
     width = max(len(r.name) for r in results)
     print(f" # {'criterion'.ljust(width)}  status  time")
@@ -615,8 +581,8 @@ def run_assert_suite(cfg, inputs, outdir: Path, assert_mode: bool) -> int:
     print(f"{n_pass}/{len(results)} criteria passed")
     lines = [(r.name, bool(r.passed)) for r in results]
     lines.append(("criteria_passed", n_pass))
-    _write_results(outdir, "assert-suite", cfg, lines)
-    return EXIT_OK if n_pass == len(results) else EXIT_ASSERT
+    failed = ", ".join(r.name for r in results if not r.passed)
+    return _Result(None, None, None, lines, f"criteria failed: {failed}" if failed else None)
 
 
 _RUNNERS = {
@@ -677,7 +643,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output dir: {exc}") from exc
         inputs = _build_inputs(args.experiment, cfg)
-        return _RUNNERS[args.experiment](cfg, inputs, outdir, args.assert_mode)
+        result = _RUNNERS[args.experiment](cfg, inputs, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -685,6 +651,16 @@ def main(argv=None) -> int:
         stage = next(stage for kind, stage in _NUMERICAL.items() if isinstance(exc, kind))
         print(f"numerical failure in {stage}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if result.csv_name:
+        _write_csv(outdir / result.csv_name, result.header, result.rows)
+        print(f"wrote {outdir / result.csv_name}")
+    _write_results(outdir, args.experiment, cfg, result.lines)
+    # assert-suite's property is the suite itself: a failed criterion exits 3
+    # with or without --assert
+    if result.violation and (args.assert_mode or args.experiment == "assert-suite"):
+        print(f"assert: {result.violation}", file=sys.stderr)
+        return EXIT_ASSERT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -79,8 +79,8 @@ def make_ensemble(
     kind: str = "mixed",
     band: float | None = None,
     decay_radius: float = 0.5,
-) -> list:
-    """Deterministic list of initial data.
+) -> SpectralField:
+    """Deterministic initial data as one batch of shape (count, *grid.shape).
 
     kind is one of 'band_limited', 'analytic_decay', or 'mixed'
     (alternating).  Band defaults to a quarter of the axis Nyquist.
@@ -98,4 +98,4 @@ def make_ensemble(
             fields.append(random_band_limited(grid, rng, band))
         else:
             fields.append(random_analytic_decay(grid, rng, decay_radius))
-    return fields
+    return SpectralField(grid, np.stack([f.coeffs for f in fields]))

@@ -14,8 +14,8 @@ computes:
 * the constant assembled by geometric refinement toward the initial time
   (closed form and its numerically accumulated series twin), and the lift
   of a fixed-time interpolation constant to a space-time one;
-* an end-to-end observability experiment chaining all of the above on a
-  simulated ensemble.
+* an end-to-end observability experiment chaining all of the above on the
+  recorded norms of a simulated ensemble.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import GridSpec, SpectralField, _conjugate_partner, _require_single
-from .solver import simulate
 
 __all__ = [
     "ThinSetError",
@@ -491,55 +490,38 @@ def _interp_pairs(times, l2, l2_on_E, t_cap: float, delta: float):
     )
 
 
-def observability_experiment(
-    a,
-    s: float,
-    obs,
-    total_time: float,
-    dt: float,
-    ensemble,
-    theta: float = 0.5,
-    record_every: int = 1,
-    scheme: str = "etd2",
-) -> ObservabilityReport:
+def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport:
     """Measure final-norm vs observed-mass ratios and the bound that the
     refinement pipeline assembles from the same ensemble.
 
-    For each initial state the empirical ratio is
+    ``traj`` is a batched run of the ensemble recorded with an observation
+    set, from time 0 to T = ``traj.final_time``; the gap exponent is
+    ``traj.s - 1``.  For each member the empirical ratio is
     ||u(T)||^2 / integral over (0,T) of ||u(t)||^2_E dt (trapezoid rule on
     the recorded cadence).  The pipeline side measures interpolation and
     energy-growth constants on recorded pairs inside (0, min(T,1)], absorbs
     them into a single-constant space-time shape, and telescopes it; for
     T > 1 the bound is extended by the measured energy-growth factor over
-    [1, T].  Members whose restricted norm vanishes identically are
-    reported as degenerate and excluded from the fit.
+    [1, T].  Members with zero observed mass, or whose restricted norm
+    vanishes at a record the fit reads, are reported as degenerate and
+    excluded from the empirical ratio; a vanishing record adds no pairs.
     """
-    if not 1.0 < s:
-        raise ValueError(f"s must exceed 1, got {s}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    delta = s - 1.0
+    if "l2_on_E" not in traj.diagnostics:
+        raise ValueError("observability_experiment needs a run recorded with an observation set")
+    total_time = traj.final_time
+    delta = traj.s - 1.0
     t_cap = min(total_time, 1.0)
 
-    batch = SpectralField(ensemble[0].grid, np.stack([u0.coeffs for u0 in ensemble]))
-    traj = simulate(
-        batch, a, s, total_time, dt,
-        scheme=scheme, record_every=record_every, obs_set=obs,
-        store_states=False,
-    )
     sup_a = max(float(np.max(np.abs(a.sample(t)))) for t in traj.times)
     l2, l2e = traj.diagnostics["l2"], traj.diagnostics["l2_on_E"]
     masses = np.array([float(np.trapezoid(row**2, traj.times)) for row in l2e])
     ratios = [float(row[-1] ** 2 / mass) if mass else np.inf for row, mass in zip(l2, masses)]
-    live = masses != 0.0
-    pair_qs, log_j, log_ej, log_i, skipped = _interp_pairs(
-        traj.times, l2[live], l2e[live], t_cap, delta
-    )
+    pair_qs, log_j, log_ej, log_i, skipped = _interp_pairs(traj.times, l2, l2e, t_cap, delta)
     pair_logs = 2.0 * (log_j - theta * log_ej - (1.0 - theta) * log_i)
     energy_max = max(1.0, float(np.exp(np.max(2.0 * (log_j - log_i))))) if len(pair_qs) else 1.0
-    flagged = ~live
-    flagged[live] = skipped > 0
-    degenerate = [int(i) for i in np.flatnonzero(flagged)]
+    degenerate = [int(i) for i in np.flatnonzero((masses == 0) | (skipped > 0))]
 
     c_interp = smallest_log_affine_dominator(pair_qs, pair_logs)
     c_premise = max(c_interp, energy_max)

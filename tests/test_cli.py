@@ -7,6 +7,7 @@ Runs are kept tiny; the acceptance suite owns the full-size checks.
 
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -33,11 +34,17 @@ from fracheatlab.config import (
 from fracheatlab import acceptance, cli, solver
 from fracheatlab.acceptance import CRITERION_NAMES, CriterionResult
 from fracheatlab.cli import main
-from fracheatlab.coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
+from fracheatlab.coefficients import (
+    BUILTIN_COEFFICIENTS,
+    ClassA1,
+    CoefficientField,
+    builtin_coefficient,
+    verify_class,
+)
 from fracheatlab.ensembles import single_mode
 from fracheatlab.inequality_lab import _interp_pairs, smallest_log_affine_dominator
 from fracheatlab.solver import simulate
-from fracheatlab.spectral import GridSpec, SpectralField
+from fracheatlab.spectral import GridSpec
 from fracheatlab.thick_sets import SET_BUILDERS, build_set
 
 
@@ -311,9 +318,9 @@ def _full_horizon_run(sets, T=None):
     """interp-scan's ensemble integrated to dynamics.T (or T) as one batch."""
     cfg = cli._resolve_config("interp-scan", None, sets)
     inputs = cli._build_inputs("interp-scan", cfg)
-    batch = SpectralField(inputs["grid"], np.stack([f.coeffs for f in inputs["ensemble"]]))
     return simulate(
-        batch, inputs["coeff"], cfg["dynamics.s"], cfg["dynamics.T"] if T is None else T,
+        inputs["ensemble"], inputs["coeff"], cfg["dynamics.s"],
+        cfg["dynamics.T"] if T is None else T,
         cfg["dynamics.dt"], record_every=cfg["run.record_every"], obs_set=inputs["set"],
         store_states=False,
     )
@@ -497,6 +504,11 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("ls.band_max", ["ls-scan", "--set", "ls.band_min=8", "--set", "ls.band_max=4"]),
         ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=0"]),
         ("interp.theta_count", ["interp-scan", "--set", "interp.theta_count=-3"]),
+        # the Hoelder exponent lies in (0, 1)
+        ("interp.theta_min", ["interp-scan", "--set", "interp.theta_min=-0.5"]),
+        ("interp.theta_min", ["interp-scan", "--set", "interp.theta_min=0.0"]),
+        ("interp.theta_max", ["interp-scan", "--set", "interp.theta_max=1.5"]),
+        ("interp.theta_max", ["interp-scan", "--set", "interp.theta_max=1.0"]),
         ("ls.band_min", ["ls-scan", "--set", "ls.band_min=-1.0"]),
         ("ls.band_max", ["ls-scan", "--set", "ls.band_max=1e9"]),
         ("ls.band_max", ["ls-scan", "--set", "grid.n=16", "--set", "ls.band_max=60"]),
@@ -710,13 +722,47 @@ def test_derivatives_past_the_float_range_exit_2(tmp_path, capsys, extra):
     assert "passed = true" in (out / "summary.txt").read_text()
 
 
-def test_failed_assert_exits_3(tmp_path):
-    rc, _ = _run(
-        tmp_path, "radius-track",
-        "--set", "grid.n=64", "--set", "dynamics.T=0.2", "--set", "ensemble.count=1",
-        "--set", "radius.floor=99.0", "--assert",
-    )
+def _lying_coefficient(name, grid, **kwargs):
+    # its first derivative already has sup 4 > C/R = 0.5
+    samples = np.cos(4 * grid.x_axes[0])
+    return CoefficientField(grid, lambda t: samples, ClassA1(C=1.0, R=2.0), "liar")
+
+
+def _failed_certificate(traj, a):
+    return dataclasses.replace(solver.energy_certificate(traj, a), passed=False)
+
+
+# per experiment, a config whose property fails, and the work function to
+# patch so that it does
+_FAILING = {
+    "simulate": (FAST_SIM, ("energy_certificate", _failed_certificate)),
+    "ls-scan": (["--set", "ls.band_max=0.0"], None),
+    "interp-scan": ([*FAST_SIM, "--set", "set.fraction=0.0"], None),
+    "observability": ([*FAST_SIM, "--set", "set.fraction=0.0"], None),
+    "radius-track": (
+        ["--set", "grid.n=64", "--set", "dynamics.T=0.2", "--set", "radius.floor=99.0"], None
+    ),
+    "class-verify": (["--set", "grid.n=64"], ("builtin_coefficient", _lying_coefficient)),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_FAILING))
+def test_failed_assert_exits_3(tmp_path, capsys, monkeypatch, experiment):
+    # a failed property exits 3 only under --assert, with one assert: line,
+    # and the run writes the same files either way
+    sets, patch = _FAILING[experiment]
+    if patch:
+        monkeypatch.setattr(cli, *patch)
+    rc, plain = _run(tmp_path, experiment, *sets, tag="plain")
+    assert rc == 0
+    assert "assert:" not in capsys.readouterr().err
+    rc, asserted = _run(tmp_path, experiment, *sets, "--assert", tag="asserted")
     assert rc == 3
+    assert capsys.readouterr().err.count("assert: ") == 1
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in asserted.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (asserted / name).read_bytes(), name
 
 
 def test_assert_suite_table(tmp_path, capsys, monkeypatch):
@@ -730,17 +776,22 @@ def test_assert_suite_table(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(acceptance, "run_all", results)
     rc, out = _run(tmp_path, "assert-suite")
-    text = capsys.readouterr().out
+    captured = capsys.readouterr()
+    text = captured.out
     assert rc == 0, text
+    assert captured.err == ""
     lines = [l for l in text.splitlines() if " PASS " in l or " FAIL " in l]
     assert len(lines) == 10
     assert all(" PASS " in l for l in lines)
     assert lines[2].endswith("detail 3")
     assert "10/10 criteria passed" in text
     assert (out / "summary.txt").exists()
+    # a failed criterion exits 3 without --assert
     monkeypatch.setattr(acceptance, "run_all", lambda: results(failing=(4,)))
     rc, out = _run(tmp_path, "assert-suite", tag="failing")
-    text = capsys.readouterr().out
+    captured = capsys.readouterr()
+    text = captured.out
     assert rc == 3, text
+    assert captured.err == "assert: criteria failed: energy-growth-certificate\n"
     assert " FAIL " in text.splitlines()[4] and "9/10 criteria passed" in text
     assert "energy-growth-certificate = false" in (out / "summary.txt").read_text()

@@ -73,14 +73,20 @@ def test_analytic_decay_fields_decay():
 def test_make_ensemble_kinds_and_determinism():
     g = GridSpec(1, 64, 2 * np.pi)
     ens = make_ensemble(g, 6, seed=99, kind="mixed", band=8.0, decay_radius=0.5)
-    assert len(ens) == 6
+    assert ens.coeffs.shape == (6, 64)
     again = make_ensemble(g, 6, seed=99, kind="mixed", band=8.0, decay_radius=0.5)
-    for f, h in zip(ens, again):
-        assert np.array_equal(f.coeffs, h.coeffs)
+    assert np.array_equal(ens.coeffs, again.coeffs)
+    # member i is the draw of stream ("ensemble", i), alternating kinds
+    for i, member in enumerate(ens.coeffs):
+        rng = make_generator(99, stream="ensemble", member=i)
+        if i % 2 == 0:
+            draw = random_band_limited(g, rng, 8.0)
+        else:
+            draw = random_analytic_decay(g, rng, 0.5)
+        assert np.array_equal(member, draw.coeffs)
     # members differ from each other
-    assert not np.array_equal(ens[0].coeffs, ens[1].coeffs)
+    assert not np.array_equal(ens.coeffs[0], ens.coeffs[1])
     only_band = make_ensemble(g, 3, seed=99, kind="band_limited", band=8.0)
-    for f in only_band:
-        assert np.max(np.abs(project(f, 8.0, side="high").coeffs)) == 0.0
+    assert np.max(np.abs(project(only_band, 8.0, side="high").coeffs)) == 0.0
     with pytest.raises(ValueError):
         make_ensemble(g, 3, seed=99, kind="gaussian_bumps")

@@ -352,17 +352,18 @@ def test_smallest_log_affine_dominator_minimal():
         smallest_log_affine_dominator([0.0], [1.0])
 
 
+def _decay_batch(g, count):
+    return SpectralField(g, np.stack([
+        random_analytic_decay(g, make_generator(507, "obs", i), 0.5).coeffs for i in range(count)
+    ]))
+
+
 def test_observability_experiment_small_run():
     g = GridSpec(1, 64, 2 * np.pi)
     a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
     obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=0.5)
-    ensemble = [
-        random_analytic_decay(g, make_generator(507, "obs", i), 0.5) for i in range(4)
-    ]
-    rep = observability_experiment(
-        a, 1.5, obs, total_time=0.5, dt=0.01, ensemble=ensemble, theta=0.5,
-        record_every=2,
-    )
+    traj = simulate(_decay_batch(g, 4), a, 1.5, 0.5, 0.01, record_every=2, obs_set=obs)
+    rep = observability_experiment(traj, a, theta=0.5)
     assert rep.passed
     assert rep.degenerate_members == ()
     assert len(rep.member_ratios) == 4
@@ -381,16 +382,16 @@ def test_observability_names_its_premise_source(fraction, source):
     g = GridSpec(1, 64, 2 * np.pi)
     a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
     obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=fraction)
-    ensemble = [
-        random_analytic_decay(g, make_generator(507, "obs", i), 0.5) for i in range(4)
-    ]
-    kw = dict(record_every=2)
-    rep = observability_experiment(a, 1.5, obs, 1.0, 0.01, ensemble, **kw)
+    batch = _decay_batch(g, 4)
+    rep = observability_experiment(
+        simulate(batch, a, 1.5, 1.0, 0.01, record_every=2, obs_set=obs), a
+    )
     assert rep.premise_source == source
     # the energy factor: the largest squared norm growth over recorded pairs
     growth = 1.0
-    for u0 in ensemble:
-        l2 = simulate(u0, a, 1.5, 1.0, 0.01, **kw).diagnostics["l2"][1:]
+    for member in batch.coeffs:
+        run = simulate(batch.with_coeffs(member), a, 1.5, 1.0, 0.01, record_every=2)
+        l2 = run.diagnostics["l2"][1:]
         growth = max(growth, max((l2[j] / l2[i]) ** 2 for j in range(len(l2)) for i in range(j)))
     if source == "energy":
         assert rep.premise_constant == pytest.approx(growth, rel=1e-12)
@@ -401,13 +402,35 @@ def test_observability_flags_degenerate_members():
     g = GridSpec(1, 64, 2 * np.pi)
     a = builtin_coefficient("zero", g)
     obs = np.zeros(64, dtype=bool)
-    ensemble = [single_mode(g, (1,))]
-    rep = observability_experiment(
-        a, 2.0, obs, total_time=0.25, dt=0.01, ensemble=ensemble
-    )
+    batch = SpectralField(g, single_mode(g, (1,)).coeffs[None])
+    traj = simulate(batch, a, 2.0, 0.25, 0.01, obs_set=obs)
+    rep = observability_experiment(traj, a)
     assert not rep.passed
     assert rep.degenerate_members == (0,)
     assert rep.empirical_ratio == np.inf
+
+
+def test_observability_dead_member_adds_no_pairs():
+    # a member with zero observed mass adds no pairs, so the fitted constants
+    # equal those of the batch without it, and only it is flagged
+    g = GridSpec(1, 64, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=0.5)
+    live = _decay_batch(g, 2)
+    u0, u1 = live.coeffs
+    dead = SpectralField(g, np.stack([u0, np.zeros_like(u0), u1]))
+    kw = dict(record_every=2, obs_set=obs)
+    want = observability_experiment(simulate(live, a, 1.5, 0.5, 0.01, **kw), a)
+    got = observability_experiment(simulate(dead, a, 1.5, 0.5, 0.01, **kw), a)
+    assert got.degenerate_members == (1,) and want.degenerate_members == ()
+    assert got.premise_constant == want.premise_constant
+    assert got.absorbed_constant == want.absorbed_constant
+    assert got.log_telescoped_bound == want.log_telescoped_bound
+    assert got.member_ratios[1] == np.inf
+    assert np.array_equal(got.member_ratios[[0, 2]], want.member_ratios)
+    # a run recorded without an observation set has no observed norms
+    with pytest.raises(ValueError, match="observation set"):
+        observability_experiment(simulate(live, a, 1.5, 0.5, 0.01, record_every=2), a)
 
 
 def _loop_pairs(times, l2_rows, l2e_rows, t_cap, delta, theta):

@@ -168,7 +168,7 @@ def test_energy_certificate_accepts_and_rejects():
 def test_energy_certificate_refuses_a_batch():
     g = GridSpec(1, 32, 2 * np.pi)
     a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
-    traj = simulate(_batch(make_ensemble(g, 3, seed=46)), a, 1.5, 0.1, 0.02)
+    traj = simulate(make_ensemble(g, 3, seed=46), a, 1.5, 0.1, 0.02)
     with pytest.raises(ValueError, match="batch of 3"):
         energy_certificate(traj, a)
     assert energy_certificate(traj.member(1), a).passed
@@ -307,12 +307,12 @@ def test_batched_simulate_equals_unplanned_oracle(scheme, dim, coeff):
     if coeff == "time_cosine":
         params["time_freq"] = 3.0
     a = builtin_coefficient(coeff, g, **params)
-    fields = make_ensemble(g, 3, seed=48, kind="mixed")
+    batch = make_ensemble(g, 3, seed=48, kind="mixed")
     T, dt = 0.25, 0.02  # twelve full steps, then a shortened one of 0.01
-    traj = simulate(_batch(fields), a, 1.5, T, dt, scheme=scheme)
+    traj = simulate(batch, a, 1.5, T, dt, scheme=scheme)
     assert traj.final_time == T
-    for i, u0 in enumerate(fields):
-        expect = _oracle_states(u0, a, 1.5, T, dt, scheme)
+    for i, member in enumerate(batch.coeffs):
+        expect = _oracle_states(batch.with_coeffs(member), a, 1.5, T, dt, scheme)
         assert len(traj.states) == len(expect) == 14
         for got, want in zip(traj.states, expect):
             assert np.array_equal(got.coeffs[i], want.coeffs)
@@ -324,12 +324,12 @@ def test_batch_equals_single_runs():
     a = builtin_coefficient("time_cosine", g, amplitude=0.5, mode=1, time_freq=2.0)
     ind = np.zeros(32, dtype=bool)
     ind[:12] = True
-    fields = make_ensemble(g, 4, seed=49, kind="mixed")
+    batch = make_ensemble(g, 4, seed=49, kind="mixed")
     kw = dict(record_every=3, obs_set=ind)
-    batched = simulate(_batch(fields), a, 1.5, 0.3, 0.02, **kw)
+    batched = simulate(batch, a, 1.5, 0.3, 0.02, **kw)
     assert batched.diagnostics["l2"].shape == (4, len(batched.times))
-    for i, u0 in enumerate(fields):
-        single = simulate(u0, a, 1.5, 0.3, 0.02, **kw)
+    for i, member in enumerate(batch.coeffs):
+        single = simulate(batch.with_coeffs(member), a, 1.5, 0.3, 0.02, **kw)
         member = batched.member(i)
         assert np.array_equal(member.times, single.times)
         assert set(member.diagnostics) == set(single.diagnostics) == {"l2", "l2_on_E"}
@@ -370,7 +370,7 @@ def test_phi_weights_built_once_per_step_size(monkeypatch):
     monkeypatch.setattr(solver, "phi2", counting("phi2", phi2))
     g = GridSpec(1, 32, 2 * np.pi)
     a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
-    u0 = _batch(make_ensemble(g, 3, seed=51))
+    u0 = make_ensemble(g, 3, seed=51)
     simulate(u0, a, 1.5, 0.2, 0.02)  # ten equal steps: one step size
     assert calls == {"phi1": 1, "phi2": 1}
     simulate(u0, a, 1.5, 0.25, 0.02)  # twelve steps of 0.02 and one of 0.01
@@ -394,7 +394,7 @@ def test_batched_records_take_one_transform_each(monkeypatch):
     a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
     ind = np.zeros(32, dtype=bool)
     ind[:12] = True
-    u0 = _batch(make_ensemble(g, 5, seed=53))
+    u0 = make_ensemble(g, 5, seed=53)
     traj = simulate(u0, a, 1.5, 0.2, 0.02, record_every=2, obs_set=ind)
     assert len(traj.times) == 6
     assert calls == {"l2_norm": 6, "restricted_l2": 6, "inverse": 6}
@@ -424,7 +424,7 @@ def test_batched_integration_error_names_member():
 def test_warm_step_allocates_only_the_returned_state(scheme, dim):
     g = GridSpec(dim, 64 if dim == 1 else 16, 2 * np.pi)
     a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
-    u = _batch(make_ensemble(g, 16 if dim == 1 else 8, seed=54))
+    u = make_ensemble(g, 16 if dim == 1 else 8, seed=54)
     for _ in range(2):  # weights, dealiased a and workspace
         u = step(u, a, 1.5, 0.0, 0.01, scheme=scheme)
     tracemalloc.start()
@@ -447,7 +447,7 @@ def test_interleaved_shapes_equal_separate_runs(scheme):
     # shapes must neither reuse a stale buffer nor return one
     g1, g2 = GridSpec(1, 32, 2 * np.pi), GridSpec(2, 16, 2 * np.pi)
     runs = [
-        (_batch(make_ensemble(g, m, seed=seed)), builtin_coefficient("cosine", g, **params))
+        (make_ensemble(g, m, seed=seed), builtin_coefficient("cosine", g, **params))
         for g, m, seed, params in [
             (g1, 3, 55, {"amplitude": 0.5, "mode": 1}),
             (g1, 5, 56, {"amplitude": 0.7, "mode": 2}),
