@@ -17,8 +17,9 @@ produces byte-identical files.
 
 A run has a config stage, a work stage and an output stage.  The config
 stage checks every key, type, range and choice of the resolved config against
-``_SCHEMA``, one entry per key, and the step count ``dynamics.T /
-dynamics.dt``, and builds the experiment's inputs (grid, coefficient, set,
+``_SCHEMA``, one entry per key, the step count ``dynamics.T /
+dynamics.dt`` and, for the experiments that read pairs of records, their
+number, and builds the experiment's inputs (grid, coefficient, set,
 initial data, bands, times); it fails with a ``ConfigError`` naming the key
 or key group before any work starts.  The work stage is the experiment's
 runner: it returns a ``_Result`` holding what it measured and whether its
@@ -63,6 +64,7 @@ from .inequality_lab import (
     InsufficientDecayError,
     ThinSetError,
     _interp_pairs,
+    _worst_log_ratio,
     ls_growth_fit,
     observability_experiment,
     radius_estimate,
@@ -97,6 +99,9 @@ _LIMITS = {int: 2**63 - 1, float: sys.float_info.max}
 _MAX_BANDS = 10_000
 # the most steps dynamics.T / dynamics.dt may ask of the integrator
 _MAX_STEPS = 10**9
+# the most pairs of records in (0, min(T, 1)] interp-scan and observability
+# may read: each holds a few floats, and a power is taken per pair
+_MAX_PAIRS = 10**7
 
 
 class _Key(NamedTuple):
@@ -208,6 +213,15 @@ def _resolve_config(experiment: str, config_path, sets) -> dict:
         raise ConfigError(
             f"dynamics.T / dynamics.dt ({T!r} / {dt!r}) asks for more than {_MAX_STEPS} steps"
         )
+    if experiment in ("interp-scan", "observability"):
+        every = cfg["run.record_every"]
+        records = int(min(T, 1.0) / (dt * every))
+        pairs = records * (records - 1) // 2
+        if pairs > _MAX_PAIRS:
+            raise ConfigError(
+                f"dynamics.dt * run.record_every ({dt!r} * {every!r}) records {records} times "
+                f"in (0, {min(T, 1.0)!r}]: {pairs} pairs, more than {_MAX_PAIRS}"
+            )
     return cfg
 
 
@@ -465,10 +479,10 @@ def run_interp_scan(cfg, inputs, outdir: Path) -> _Result:
     traj = _simulate_stage(
         inputs["ensemble"], inputs["coeff"], {**cfg, "dynamics.T": horizon}, inputs["set"]
     )
-    qs, log_l2j, log_l2ej, log_l2i, skipped = _interp_pairs(
+    pairs = _interp_pairs(
         traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"], t_cap, delta
     )
-    degenerate = int(np.sum(skipped))
+    degenerate = int(np.sum(pairs.skipped))
 
     n_theta = int(cfg["interp.theta_count"])
     thetas = np.linspace(
@@ -482,15 +496,14 @@ def run_interp_scan(cfg, inputs, outdir: Path) -> _Result:
             rows.append((theta, np.inf, "unbounded"))
             constants.append(np.inf)
             continue
-        log_ratio = 2.0 * (log_l2j - theta * log_l2ej - (1.0 - theta) * log_l2i)
-        c_theta = smallest_log_affine_dominator(qs, log_ratio)
+        c_theta = smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, theta))
         constants.append(c_theta)
         rows.append((theta, c_theta, "ok" if c_theta <= cap else "above_cap"))
     breakdown = next(
         (thetas[i] for i, c in enumerate(constants) if not c <= cap), None
     )
     lines = [
-        ("pairs", len(qs)),
+        ("pairs", pairs.count),
         ("degenerate_records", degenerate),
         ("breakdown_theta", "none" if breakdown is None else breakdown),
         ("constant_min", float(np.min(constants))),

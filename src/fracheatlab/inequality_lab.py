@@ -21,6 +21,7 @@ computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -461,33 +462,61 @@ class ObservabilityReport:
     degenerate_members: tuple
 
 
-def _interp_pairs(times, l2, l2_on_E, t_cap: float, delta: float):
-    """Every recorded pair t_i < t_j inside (0, t_cap] of every member,
-    skipping each j whose observed norm vanishes; ordered by member, then j,
-    then i.
+class _Pairs(NamedTuple):
+    """The recorded pairs t_i < t_j inside (0, t_cap], one entry per pair of
+    times, ordered by j, then i; each member's pairs at j count when its
+    observed norm at t_j is nonzero."""
 
-    ``l2`` and ``l2_on_E`` hold one row of recorded norms per member.
-    Returns q = 1/(t_j - t_i)^delta, log l2(t_j), log l2_on_E(t_j) and
-    log l2(t_i) per pair, and the number of skipped j per member.
-    """
+    q: np.ndarray  # 1/(t_j - t_i)^delta
+    j: np.ndarray
+    i: np.ndarray
+    log_l2: np.ndarray  # one row per member
+    log_l2e: np.ndarray
+    live: np.ndarray  # l2_on_E != 0, one row per member
+    count: int  # the number of member pairs at a live j
+    skipped: np.ndarray  # the number of dead j > 0 of each member
+
+
+def _interp_pairs(times, l2, l2_on_E, t_cap: float, delta: float) -> _Pairs:
+    """The pairs of recorded times inside (0, t_cap] and each member's log
+    norms there; ``l2`` and ``l2_on_E`` hold one row of recorded norms per
+    member."""
     inside = (times > 0) & (times <= t_cap + 1e-12)
     ts = times[inside]
     l2, l2e = l2[:, inside], l2_on_E[:, inside]
-    jj, ii = np.tril_indices(len(ts), -1)
+    j, i = np.tril_indices(len(ts), -1)
     # one scalar (libm) power per pair of times: numpy's SIMD array power
     # may differ from it in the last bit
-    q = 1.0 / np.array([gap**delta for gap in (ts[jj] - ts[ii]).tolist()])
-    member, pair = np.nonzero((l2e != 0.0)[:, jj])
-    j, i = jj[pair], ii[pair]
+    q = 1.0 / np.array([gap**delta for gap in (ts[j] - ts[i]).tolist()])
+    live = l2e != 0.0
     with np.errstate(divide="ignore"):
         log_l2, log_l2e = np.log(l2), np.log(l2e)
-    return (
-        q[pair],
-        log_l2[member, j],
-        log_l2e[member, j],
-        log_l2[member, i],
-        np.count_nonzero(l2e[:, 1:] == 0.0, axis=1),
-    )
+    # a live j pairs with every earlier record
+    count = int(np.count_nonzero(live, axis=0) @ np.arange(len(ts)))
+    return _Pairs(q, j, i, log_l2, log_l2e, live, count, np.count_nonzero(~live[:, 1:], axis=1))
+
+
+def _worst_log_ratio(pairs: _Pairs, theta: float) -> np.ndarray:
+    """The largest 2*(log l2_j - theta*log l2e_j - (1-theta)*log l2_i) over
+    the members live at j, for each pair of times; -inf where none is.
+
+    smallest_log_affine_dominator reads a target L only through fl(X - L),
+    with X set by the pair of times, and rounding is monotone: the minimum
+    over members of fl(X - L) is fl(X - max L), so it returns the same
+    constant from these targets as from every member's pairs.  Members are
+    folded in one at a time, and no array holds a value per member and pair.
+    theta = 0 gives 2*(log l2_j - log l2_i) exactly.
+    """
+    worst = np.full(len(pairs.q), -np.inf)
+    ratio = np.empty_like(worst)
+    # a dead j's log l2e is -inf and can make NaN; where= keeps it out
+    with np.errstate(invalid="ignore"):
+        for log_l2, log_l2e, live in zip(pairs.log_l2, pairs.log_l2e, pairs.live):
+            np.subtract((log_l2 - theta * log_l2e)[pairs.j], ((1.0 - theta) * log_l2)[pairs.i],
+                        out=ratio)
+            ratio *= 2.0
+            np.maximum(worst, ratio, out=worst, where=live[pairs.j])
+    return worst
 
 
 def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport:
@@ -510,6 +539,8 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     if "l2_on_E" not in traj.diagnostics:
         raise ValueError("observability_experiment needs a run recorded with an observation set")
+    if traj.diagnostics["l2"].ndim != 2:
+        raise ValueError("observability_experiment takes a batched run, one row per member")
     total_time = traj.final_time
     delta = traj.s - 1.0
     t_cap = min(total_time, 1.0)
@@ -518,12 +549,11 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     l2, l2e = traj.diagnostics["l2"], traj.diagnostics["l2_on_E"]
     masses = np.array([float(np.trapezoid(row**2, traj.times)) for row in l2e])
     ratios = [float(row[-1] ** 2 / mass) if mass else np.inf for row, mass in zip(l2, masses)]
-    pair_qs, log_j, log_ej, log_i, skipped = _interp_pairs(traj.times, l2, l2e, t_cap, delta)
-    pair_logs = 2.0 * (log_j - theta * log_ej - (1.0 - theta) * log_i)
-    energy_max = max(1.0, float(np.exp(np.max(2.0 * (log_j - log_i))))) if len(pair_qs) else 1.0
-    degenerate = [int(i) for i in np.flatnonzero((masses == 0) | (skipped > 0))]
+    pairs = _interp_pairs(traj.times, l2, l2e, t_cap, delta)
+    energy_max = max(1.0, float(np.exp(np.max(_worst_log_ratio(pairs, 0.0))))) if pairs.count else 1.0
+    degenerate = [int(i) for i in np.flatnonzero((masses == 0) | (pairs.skipped > 0))]
 
-    c_interp = smallest_log_affine_dominator(pair_qs, pair_logs)
+    c_interp = smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, theta))
     c_premise = max(c_interp, energy_max)
     lift = spacetime_lift(c_premise, delta, theta, gap_range=(1e-6, t_cap))
     tele = telescope_constant(lift.absorbed_constant, theta, delta, t_cap)

@@ -42,7 +42,7 @@ from fracheatlab.coefficients import (
     verify_class,
 )
 from fracheatlab.ensembles import single_mode
-from fracheatlab.inequality_lab import _interp_pairs, smallest_log_affine_dominator
+from fracheatlab.inequality_lab import smallest_log_affine_dominator
 from fracheatlab.solver import simulate
 from fracheatlab.spectral import GridSpec
 from fracheatlab.thick_sets import SET_BUILDERS, build_set
@@ -327,8 +327,11 @@ def _full_horizon_run(sets, T=None):
 
 
 @pytest.mark.parametrize("T, dt, every", _HORIZONS)
-def test_read_horizon_records_what_the_full_run_records(T, dt, every):
-    # every record interp-scan reads, inside (0, min(T, 1)], bit for bit
+def test_read_horizon_records_what_the_full_run_records(monkeypatch, T, dt, every):
+    # every record interp-scan reads, inside (0, min(T, 1)], bit for bit;
+    # the 1e-4 step reads 5*10^7 pairs, past what the config stage accepts,
+    # and only its records are compared here
+    monkeypatch.setattr(cli, "_MAX_PAIRS", 10**8)
     horizon, steps = cli._read_horizon(T, dt, every, min(T, 1.0))
     assert steps % every == 0 and horizon <= 1.0 + 1e-12
     full = _full_horizon_run(_horizon_sets(T, dt, every))
@@ -341,14 +344,27 @@ def test_read_horizon_records_what_the_full_run_records(T, dt, every):
         assert np.array_equal(short.diagnostics[name], rows[:, read])
 
 
+def _flat_pairs(times, l2, l2_on_E, t_cap, delta):
+    """Every member's pairs t_i < t_j inside (0, t_cap] at a j whose observed
+    norm is nonzero, flattened: q and the log norms of each pair."""
+    inside = (times > 0) & (times <= t_cap + 1e-12)
+    ts, l2, l2e = times[inside], l2[:, inside], l2_on_E[:, inside]
+    jj, ii = np.tril_indices(len(ts), -1)
+    q = 1.0 / np.array([gap**delta for gap in (ts[jj] - ts[ii]).tolist()])
+    member, pair = np.nonzero((l2e != 0.0)[:, jj])
+    j, i = jj[pair], ii[pair]
+    skipped = np.count_nonzero(l2e[:, 1:] == 0.0, axis=1)
+    return q[pair], np.log(l2[member, j]), np.log(l2e[member, j]), np.log(l2[member, i]), skipped
+
+
 @pytest.mark.parametrize("T, dt, every", [h for h in _HORIZONS if h[1] >= 1e-3])
 def test_interp_scan_equals_the_full_horizon_scan(tmp_path, T, dt, every):
-    # the 1e-4 step of _HORIZONS reads 10^4 records, 5*10^7 pairs per member
+    # the 1e-4 step of _HORIZONS reads 10^4 records, past the pair bound
     sets = _horizon_sets(T, dt, every)
     rc, out = _run(tmp_path, "interp-scan", *_set_flags(sets))
     assert rc == 0
     full = _full_horizon_run(sets)
-    qs, log_j, log_ej, log_i, skipped = _interp_pairs(
+    qs, log_j, log_ej, log_i, skipped = _flat_pairs(
         full.times, full.diagnostics["l2"], full.diagnostics["l2_on_E"], min(T, 1.0), 0.5
     )
     thetas = np.linspace(0.1, 0.9, 9)
@@ -525,6 +541,13 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         # the step count is bounded before it can pass the float range
         ("dynamics.T / dynamics.dt", ["simulate", "--set", "dynamics.T=1e300",
                                       "--set", "dynamics.dt=1e-10"]),
+        # so is the number of record pairs interp-scan and observability read:
+        # 10^4 records in (0, 1] are 5*10^7 pairs
+        ("dynamics.dt * run.record_every", ["interp-scan", "--set", "dynamics.dt=1e-4",
+                                            "--set", "run.record_every=1"]),
+        ("dynamics.dt * run.record_every", ["observability", "--set", "dynamics.dt=1e-5",
+                                            "--set", "run.record_every=10",
+                                            "--set", "dynamics.T=3.0"]),
         # a mode at or past n/2 aliases to a lower one
         ("invalid coeff.* settings", ["class-verify", "--set", "coeff.mode=100"]),
         ("invalid coeff.* settings", ["radius-track", "--set", "coeff.mode=128"]),

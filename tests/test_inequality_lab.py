@@ -10,6 +10,8 @@ lift constants are checked against their defining identities, and the
 pinned values the rest of the package relies on are frozen here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from fracheatlab.inequality_lab import (
     InsufficientDecayError,
     _interp_pairs,
     _restriction_gram,
+    _worst_log_ratio,
     ls_constant,
     ls_growth_fit,
     radius_estimate,
@@ -433,10 +436,21 @@ def test_observability_dead_member_adds_no_pairs():
         observability_experiment(simulate(live, a, 1.5, 0.5, 0.01, record_every=2), a)
 
 
+def test_observability_refuses_a_single_run():
+    g = GridSpec(1, 64, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=0.5)
+    traj = simulate(single_mode(g, (1,)), a, 1.5, 0.5, 0.01, obs_set=obs)
+    with pytest.raises(ValueError, match="batched run"):
+        observability_experiment(traj, a)
+
+
 def _loop_pairs(times, l2_rows, l2e_rows, t_cap, delta, theta):
     """The per-member double loops that interp-scan and the observability
-    experiment used to run, as an oracle for the vectorized pair builder."""
-    qs, logs_j, logs_ej, logs_i, ratios, skipped = [], [], [], [], [], []
+    experiment used to run, as an oracle for the pair builder: every member's
+    pairs at a j whose observed norm is nonzero, flattened, each with its
+    record indices (j, i) inside (0, t_cap]."""
+    keys, qs, ratios, skipped = [], [], [], []
     energy_max = 1.0
     for l2_all, l2e_all in zip(l2_rows, l2e_rows):
         inside = (times > 0) & (times <= t_cap + 1e-12)
@@ -447,17 +461,15 @@ def _loop_pairs(times, l2_rows, l2e_rows, t_cap, delta, theta):
                 skipped[-1] += 1
                 continue
             for i in range(j):
+                keys.append((j, i))
                 qs.append(1.0 / (ts[j] - ts[i]) ** delta)
-                logs_j.append(np.log(l2[j]))
-                logs_ej.append(np.log(l2e[j]))
-                logs_i.append(np.log(l2[i]))
                 ratios.append(2.0 * (
                     np.log(l2[j]) - theta * np.log(l2e[j]) - (1.0 - theta) * np.log(l2[i])
                 ))
                 energy_max = max(
                     energy_max, float(np.exp(2.0 * (np.log(l2[j]) - np.log(l2[i]))))
                 )
-    return qs, logs_j, logs_ej, logs_i, ratios, energy_max, skipped
+    return keys, qs, ratios, energy_max, skipped
 
 
 @pytest.mark.parametrize("t_cap, delta", [(1.0, 0.5), (0.6, 0.7), (1.0, 1.0)])
@@ -468,22 +480,56 @@ def test_interp_pairs_match_double_loops(t_cap, delta):
     l2e = l2 * rng.uniform(0.01, 1.0, size=(3, 31))
     l2e[0, [0, 4, 9]] = 0.0  # t = 0 is outside, the others are skipped
     l2e[2, 13] = 0.0
+    # a member that is zero throughout has log -inf everywhere and no pairs
+    l2, l2e = np.vstack([l2, np.zeros(31)]), np.vstack([l2e, np.zeros(31)])
     theta = 0.3
-    qs, log_j, log_ej, log_i, skipped = _interp_pairs(times, l2, l2e, t_cap, delta)
-    q_ref, j_ref, ej_ref, i_ref, ratio_ref, energy_ref, skipped_ref = _loop_pairs(
+    pairs = _interp_pairs(times, l2, l2e, t_cap, delta)
+    keys, q_ref, ratio_ref, energy_ref, skipped_ref = _loop_pairs(
         times, l2, l2e, t_cap, delta, theta
     )
-    assert len(qs) == len(q_ref) > 0
-    assert np.array_equal(log_j, j_ref)
-    assert np.array_equal(log_ej, ej_ref)
-    assert np.array_equal(log_i, i_ref)
-    assert list(skipped) == skipped_ref
-    assert np.array_equal(qs, q_ref)
-    # the observability experiment's combinations of the same columns
-    ratios = 2.0 * (log_j - theta * log_ej - (1.0 - theta) * log_i)
-    assert np.array_equal(ratios, ratio_ref)
-    energy = max(1.0, float(np.exp(np.max(2.0 * (log_j - log_i)))))
+    assert pairs.count == len(q_ref) > 0
+    assert list(pairs.skipped) == skipped_ref
+    records = int(np.sum((times > 0) & (times <= t_cap + 1e-12)))
+    assert len(pairs.q) == records * (records - 1) // 2
+    index = {key: p for p, key in enumerate(zip(pairs.j.tolist(), pairs.i.tolist()))}
+    assert np.array_equal(pairs.q[[index[key] for key in keys]], q_ref)
+    # one target per pair of times: the largest of its members' ratios
+    worst = np.full(len(pairs.q), -np.inf)
+    for key, ratio in zip(keys, ratio_ref):
+        worst[index[key]] = max(worst[index[key]], ratio)
+    assert np.array_equal(_worst_log_ratio(pairs, theta), worst)
+    energy = max(1.0, float(np.exp(np.max(_worst_log_ratio(pairs, 0.0)))))
     assert energy == energy_ref
+    # the dominator returns the same constant from one target per pair of
+    # times as from every member's pairs, also off the floor 1.0
+    constants = []
+    for th in (0.1, 0.5, 0.9):
+        _, qs, ratios, _, _ = _loop_pairs(times, l2, l2e, t_cap, delta, th)
+        constants.append(smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, th)))
+        assert constants[-1] == smallest_log_affine_dominator(qs, ratios)
+    assert max(constants) > 1.0
+
+
+def _pair_stage_peak(members):
+    """Peak traced bytes of building the pairs of 200 records and one
+    constant per theta from them, for the given number of members."""
+    rng = make_generator(515, "pair-memory")
+    times = np.linspace(0.0, 1.0, 201)
+    l2 = np.exp(rng.normal(0.0, 1.0, size=(members, 201)))
+    l2e = l2 * rng.uniform(0.01, 1.0, size=(members, 201))
+    tracemalloc.start()
+    try:
+        pairs = _interp_pairs(times, l2, l2e, 1.0, 0.5)
+        for theta in (0.1, 0.5, 0.9):
+            smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, theta))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_memory_does_not_grow_with_members():
+    # 16 times the members, the same 19,900 pairs of times
+    assert _pair_stage_peak(64) < 2 * _pair_stage_peak(4)
 
 
 def test_radius_estimate_refuses_a_batch():
