@@ -69,16 +69,11 @@ def _band_modes(grid: GridSpec, band: float) -> np.ndarray:
             f"band {band} exceeds the lattice Nyquist radius {grid.nyquist_radius}"
         )
     half = grid.n // 2
-    ms = np.arange(-half, half)
+    # "ij" order lists the lattice lexicographically
+    lattice = np.meshgrid(*[np.arange(-half, half)] * grid.dim, indexing="ij")
     unit = 2.0 * np.pi / grid.period
-    if grid.dim == 1:
-        sel = ms[np.abs(ms) * unit <= band + 1e-12]
-        return sel[np.argsort(sel)][:, None]
-    mx, my = np.meshgrid(ms, ms, indexing="ij")
-    keep = np.sqrt(mx.astype(float) ** 2 + my**2) * unit <= band + 1e-12
-    pairs = np.stack([mx[keep], my[keep]], axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    keep = np.sqrt(sum(m.astype(float) ** 2 for m in lattice)) * unit <= band + 1e-12
+    return np.stack([m[keep] for m in lattice], axis=1)
 
 
 def _restriction_gram(obs, band: float) -> np.ndarray:
@@ -215,12 +210,7 @@ def _shell_maxima(field: SpectralField):
     mags = np.abs(field.coeffs).ravel()
     # lattice radius per coefficient, rounded to integer shells
     m = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
-    if grid.dim == 1:
-        radius = np.abs(m)
-    else:
-        mx, my = np.meshgrid(m, m, indexing="ij")
-        radius = np.rint(np.sqrt(mx.astype(float) ** 2 + my**2)).astype(int)
-    radius = radius.ravel()
+    radius = np.rint(np.sqrt(sum(grid.per_axis(m.astype(float) ** 2)))).astype(int).ravel()
     n_shell = radius.max() + 1
     shell_max = np.zeros(n_shell)
     np.maximum.at(shell_max, radius, mags)
@@ -486,8 +476,12 @@ def _interp_pairs(times, l2, l2_on_E, t_cap: float, delta: float) -> _Pairs:
     l2, l2e = l2[:, inside], l2_on_E[:, inside]
     j, i = np.tril_indices(len(ts), -1)
     # one scalar (libm) power per pair of times: numpy's SIMD array power
-    # may differ from it in the last bit
-    q = 1.0 / np.array([gap**delta for gap in (ts[j] - ts[i]).tolist()])
+    # may differ from it in the last bit.  Row r of this order is the slice
+    # [r(r-1)/2, r(r+1)/2), filled in turn so no list spans every pair.
+    q = np.empty(len(j))
+    for r in range(1, len(ts)):
+        q[r * (r - 1) // 2:r * (r + 1) // 2] = [gap**delta for gap in (ts[r] - ts[:r]).tolist()]
+    np.divide(1.0, q, out=q)
     live = l2e != 0.0
     with np.errstate(divide="ignore"):
         log_l2, log_l2e = np.log(l2), np.log(l2e)

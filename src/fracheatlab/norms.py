@@ -18,6 +18,7 @@ quadrature sum over the sample grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial, prod
 
 import numpy as np
@@ -145,11 +146,10 @@ def strip_sup_norm(field: SpectralField, sigma: float, y_samples: int = 64) -> f
 
 
 def _multi_indices(dim: int, alpha_max: int) -> list:
-    """Every multi-index with |alpha| <= alpha_max, by total order and, in 2D,
-    by decreasing first component within an order."""
-    if dim == 1:
-        return [(order,) for order in range(alpha_max + 1)]
-    return [(order - j, j) for order in range(alpha_max + 1) for j in range(order + 1)]
+    """Every multi-index with |alpha| <= alpha_max, by total order and,
+    within an order, lexicographically decreasing."""
+    alphas = [a for a in product(range(alpha_max + 1), repeat=dim) if sum(a) <= alpha_max]
+    return sorted(alphas, key=lambda a: (sum(a), [-a_j for a_j in a]))
 
 
 def _alpha_factorial(alpha) -> float:
@@ -164,8 +164,9 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     ``alpha`` is one multi-index, giving a float, or an (m, dim) array of
     them, giving an array of m sups computed from a single forward transform
     with the same arithmetic as m separate calls.  The inverse is separable:
-    in 2D every alpha = (a, b) with the same a shares one partial inverse
-    along axis 0, and each alpha then takes one inverse along the last axis.
+    the alphas with the same leading components share one partial inverse
+    along the leading axes, and each alpha then takes one inverse along the
+    last axis.
     A sup that is not finite (the order is past the float range on this
     grid) raises FloatingPointError naming the first such multi-index.
     """
@@ -174,15 +175,17 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     if alphas.ndim > 2 or alphas.shape[1] != grid.dim or np.any(alphas < 0):
         raise ValueError(f"alpha must have {grid.dim} nonnegative components, got {alpha}")
     hat0 = np.fft.fftn(np.asarray(samples, dtype=float))
-    leads = alphas[:, 0] if grid.dim == 2 else np.zeros(len(alphas), dtype=int)
+    # the leading components of each alpha, none in 1D
+    leads, group = np.unique(alphas[:, :-1], axis=0, return_inverse=True)
+    group = group.ravel()
     sups = np.empty(len(alphas))
     # one partial inverse is held at a time: holding all of them raised the
     # peak RSS of a 2D n=256 class-verify by about 15%
-    for a in np.unique(leads):
+    for g, lead in enumerate(leads):
         part = hat0
-        if grid.dim == 2:
-            part = np.fft.ifftn(hat0 * (1j * grid.k_axes[0]) ** a if a else hat0, axes=(0,))
-        for i in np.flatnonzero(leads == a):
+        for axis, a in enumerate(lead):
+            part = np.fft.ifftn(part * (1j * grid.k_axes[axis]) ** a if a else part, axes=(axis,))
+        for i in np.flatnonzero(group == g):
             b = alphas[i, -1]
             # deriv stays bound until the next transform is allocated; freeing
             # it first lets malloc hand its pages back, and refaulting them

@@ -12,7 +12,7 @@ magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -74,25 +74,22 @@ class GridSpec:
     def volume(self) -> float:
         return self.period**self.dim
 
-    @cached_property
-    def k1d(self) -> np.ndarray:
-        """Angular frequencies along one axis in FFT storage order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+    def per_axis(self, values: np.ndarray) -> tuple:
+        """One view of the 1D array ``values`` per axis, axis i varying along
+        dimension i: broadcastable over a (possibly batched) grid array."""
+        return tuple(values.reshape((-1,) + (1,) * (self.dim - 1 - i)) for i in range(self.dim))
 
     @cached_property
     def k_axes(self) -> tuple:
-        """Frequency arrays broadcastable over the coefficient array."""
-        if self.dim == 1:
-            return (self.k1d,)
-        return (self.k1d[:, None], self.k1d[None, :])
+        """Angular frequencies in FFT storage order, broadcastable over the
+        coefficient array."""
+        return self.per_axis(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
     @cached_property
     def k_mag(self) -> np.ndarray:
         """|k| on the full lattice."""
-        if self.dim == 1:
-            return np.abs(self.k1d)
-        kx, ky = self.k_axes
-        return np.sqrt(kx**2 + ky**2)
+        # in 1D sqrt(k*k) is |k| exactly
+        return np.sqrt(sum(k**2 for k in self.k_axes))
 
     @property
     def nyquist_axis(self) -> float:
@@ -107,28 +104,19 @@ class GridSpec:
     @cached_property
     def x_axes(self) -> tuple:
         """Sample coordinates, broadcastable over the physical array."""
-        x = self.dx * np.arange(self.n)
-        if self.dim == 1:
-            return (x,)
-        return (x[:, None], x[None, :])
+        return self.per_axis(self.dx * np.arange(self.n))
 
     @cached_property
     def x_centered_axes(self) -> tuple:
         """Coordinates wrapped to [-period/2, period/2)."""
         x = self.dx * np.arange(self.n)
-        xc = np.where(x >= self.period / 2, x - self.period, x)
-        if self.dim == 1:
-            return (xc,)
-        return (xc[:, None], xc[None, :])
+        return self.per_axis(np.where(x >= self.period / 2, x - self.period, x))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep modes with |m| <= n/3 on every axis."""
         m = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        keep1d = np.abs(m) <= self.n / 3.0
-        if self.dim == 1:
-            return keep1d
-        return keep1d[:, None] & keep1d[None, :]
+        return reduce(np.logical_and, self.per_axis(np.abs(m) <= self.n / 3.0))
 
 
 @dataclass(frozen=True)
@@ -169,8 +157,7 @@ def _require_single(field: SpectralField, what: str) -> None:
 
 def _conjugate_partner(grid: GridSpec):
     """Index sending each FFT index m to (-m) mod n on every axis."""
-    partner = np.roll(np.arange(grid.n)[::-1], 1)
-    return partner if grid.dim == 1 else np.ix_(partner, partner)
+    return grid.per_axis(np.roll(np.arange(grid.n)[::-1], 1))
 
 
 def transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:

@@ -115,10 +115,8 @@ def _slab(grid: GridSpec, scale: float, fraction: float = 0.5) -> np.ndarray:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     m = _cells_per_side(grid, scale)
     keep = int(round(fraction * m))
-    along = (np.arange(grid.n) % m) < keep
-    if grid.dim == 1:
-        return along
-    return np.broadcast_to(along[:, None], grid.shape).copy()
+    along = grid.per_axis((np.arange(grid.n) % m) < keep)[0]
+    return np.broadcast_to(along, grid.shape).copy()
 
 
 def _random_per_cell(
@@ -133,16 +131,11 @@ def _random_per_cell(
     blocks = grid.n // m
     quota = max(1, int(round(fraction * m**grid.dim)))
     rng = make_generator(seed, stream="random_per_cell")
+    cube = (m,) * grid.dim
     ind = np.zeros(grid.shape, dtype=bool)
-    if grid.dim == 1:
-        for b in range(blocks):
-            chosen = rng.choice(m, size=quota, replace=False)
-            ind[b * m + chosen] = True
-        return ind
-    for bi in range(blocks):
-        for bj in range(blocks):
-            chosen = rng.choice(m * m, size=quota, replace=False)
-            ind[bi * m + chosen // m, bj * m + chosen % m] = True
+    for block in np.ndindex((blocks,) * grid.dim):
+        chosen = np.unravel_index(rng.choice(m**grid.dim, size=quota, replace=False), cube)
+        ind[tuple(b * m + c for b, c in zip(block, chosen))] = True
     return ind
 
 

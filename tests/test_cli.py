@@ -224,6 +224,46 @@ def test_trajectory_csv_roundtrip(tmp_path):
         assert [float(cell) for cell in row] == list(values)
 
 
+# the six experiments at small sizes, and runs of other shapes between them
+_SMALL_RUNS = [
+    ("simulate", [*FAST_SIM, "--set", "set.kind=periodic_slab", "--set", "output.snapshot=true",
+                  "--set", "output.save_set=true"]),
+    ("ls-scan", ["--set", "grid.n=32", "--set", "ls.band_max=24"]),
+    ("interp-scan", FAST_SIM),
+    ("observability", FAST_SIM),
+    ("radius-track", ["--set", "grid.n=64", "--set", "dynamics.T=0.4",
+                      "--set", "run.record_every=10"]),
+    ("class-verify", ["--set", "grid.n=32", "--set", "coeff.name=fourier_decay"]),
+]
+_OTHER_RUNS = [
+    ("simulate", ["--set", "grid.dim=2", "--set", "grid.n=16", "--set", "dynamics.T=0.05",
+                  "--set", "dynamics.dt=0.01", "--set", "coeff.name=time_cosine",
+                  "--set", "set.kind=complement_of_ball", "--set", "output.snapshot=true"]),
+    ("interp-scan", ["--set", "grid.n=64", "--set", "dynamics.T=0.1", "--set", "dynamics.dt=0.02",
+                     "--set", "ensemble.count=3", "--set", "set.kind=random_per_cell"]),
+]
+
+
+def test_reruns_in_one_process_are_byte_identical(tmp_path):
+    """The solver's module-level caches and the grids' cached arrays carry
+    nothing from one run into the next: the same runs, repeated after runs
+    of other shapes in the same process, write the same bytes."""
+    def written(tag, runs):
+        files = {}
+        for k, (experiment, args) in enumerate(runs):
+            rc, out = _run(tmp_path, experiment, *args, tag=f"{tag}{k}")
+            assert rc == 0, experiment
+            files.update({(k, p.name): p.read_bytes() for p in out.iterdir()})
+        return files
+
+    first = written("first", _SMALL_RUNS)
+    written("other", _OTHER_RUNS)
+    again = written("again", _SMALL_RUNS)
+    assert sorted(again) == sorted(first)
+    for key in first:
+        assert again[key] == first[key], key
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("grid.n = 32\ndynamics.T = 0.1\ndynamics.dt = 0.01\n")

@@ -25,8 +25,10 @@ from fracheatlab.solver import simulate
 from fracheatlab.inequality_lab import (
     ThinSetError,
     InsufficientDecayError,
+    _band_modes,
     _interp_pairs,
     _restriction_gram,
+    _shell_maxima,
     _worst_log_ratio,
     ls_constant,
     ls_growth_fit,
@@ -235,6 +237,51 @@ def test_real_gram_quadratic_form_matches_complex_gram():
                 assert w.real @ real @ w.real == pytest.approx(
                     np.vdot(u, gram @ u).real, rel=1e-12
                 )
+
+
+def _explicit_band_modes(g, band):
+    """The per-dimension band-mode builder, written out for 1D and 2D
+    separately, as an oracle for rows and order."""
+    half = g.n // 2
+    ms = np.arange(-half, half)
+    unit = 2.0 * np.pi / g.period
+    if g.dim == 1:
+        sel = ms[np.abs(ms) * unit <= band + 1e-12]
+        return sel[np.argsort(sel)][:, None]
+    mx, my = np.meshgrid(ms, ms, indexing="ij")
+    keep = np.sqrt(mx.astype(float) ** 2 + my**2) * unit <= band + 1e-12
+    pairs = np.stack([mx[keep], my[keep]], axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _explicit_shell_radius(g):
+    """Integer lattice radius per coefficient, per dimension."""
+    m = np.fft.fftfreq(g.n, 1.0 / g.n).astype(int)
+    if g.dim == 1:
+        return np.abs(m)
+    mx, my = np.meshgrid(m, m, indexing="ij")
+    return np.rint(np.sqrt(mx.astype(float) ** 2 + my**2)).astype(int).ravel()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_modes_and_shells_match_explicit_construction(dim):
+    rng = np.random.default_rng(506)
+    for n in (8, 16, 34, 64):
+        for period in (1.0, 2 * np.pi, 7.5):
+            g = GridSpec(dim, n, period)
+            unit = 2.0 * np.pi / period
+            for band in (0.0, 3 * unit, 3.5 * unit, g.nyquist_axis / 2, g.nyquist_axis,
+                         g.nyquist_radius):
+                modes = _band_modes(g, band)
+                ref = _explicit_band_modes(g, band)
+                assert modes.dtype == ref.dtype and np.array_equal(modes, ref), (n, band)
+            coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            radius = _explicit_shell_radius(g)
+            shell_max = np.zeros(radius.max() + 1)
+            np.maximum.at(shell_max, radius, np.abs(coeffs).ravel())
+            k_shell, ours = _shell_maxima(SpectralField(g, coeffs))
+            assert np.array_equal(ours, shell_max)
+            assert np.array_equal(k_shell, np.arange(len(shell_max)) * unit)
 
 
 def test_radius_estimate_recovers_planted_decay():
@@ -530,6 +577,23 @@ def _pair_stage_peak(members):
 def test_pair_memory_does_not_grow_with_members():
     # 16 times the members, the same 19,900 pairs of times
     assert _pair_stage_peak(64) < 2 * _pair_stage_peak(4)
+
+
+def test_interp_pairs_peak_stays_near_what_it_returns():
+    # 1,000 records in (0, 1]: 499,500 pairs of times
+    rng = make_generator(516, "pair-rows")
+    times = np.linspace(0.0, 1.0, 1001)
+    l2 = np.exp(rng.normal(0.0, 1.0, size=(2, 1001)))
+    l2e = 0.5 * l2
+    tracemalloc.start()
+    try:
+        pairs = _interp_pairs(times, l2, l2e, 1.0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs.q) == 499_500
+    kept = sum(a.nbytes for a in pairs if isinstance(a, np.ndarray))
+    assert peak < 2 * kept
 
 
 def test_radius_estimate_refuses_a_batch():

@@ -151,6 +151,40 @@ def test_derivative_sup_exact_on_cosine():
     assert derivative_sup(g2, samples2, (1, 2)) == pytest.approx(4.0, rel=1e-7)
 
 
+def _explicit_multi_indices(dim, alpha_max):
+    """The per-dimension multi-index lists, as an oracle for their order."""
+    if dim == 1:
+        return [(order,) for order in range(alpha_max + 1)]
+    return [(order - j, j) for order in range(alpha_max + 1) for j in range(order + 1)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_multi_indices_match_explicit_construction(dim):
+    for alpha_max in (0, 1, 2, 7, 12, 170):
+        alphas = _multi_indices(dim, alpha_max)
+        assert alphas == _explicit_multi_indices(dim, alpha_max)
+        assert all(type(a_j) is int for alpha in alphas for a_j in alpha)
+
+
+def _derivative_sup_by_dimension(g, samples, alphas):
+    """The per-dimension separable inverse, written out for 1D and 2D
+    separately: in 2D one partial inverse along axis 0 per first order, then
+    one inverse along the last axis per alpha."""
+    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
+    k_first, k_last = (k, k) if g.dim == 1 else (k[:, None], k[None, :])
+    hat0 = np.fft.fftn(np.asarray(samples, dtype=float))
+    sups = []
+    for alpha in alphas:
+        part = hat0
+        if g.dim == 2:
+            a = alpha[0]
+            part = np.fft.ifftn(hat0 * (1j * k_first) ** a if a else hat0, axes=(0,))
+        b = alpha[-1]
+        deriv = np.fft.ifftn(part * (1j * k_last) ** b if b else part, axes=(-1,)).real
+        sups.append(float(np.max(np.abs(deriv))))
+    return sups
+
+
 def _derivative_sup_reference(g, samples, alpha):
     """Per-multi-index oracle: a fresh forward transform and a full inverse
     for every alpha."""
@@ -180,6 +214,7 @@ def test_derivative_sup_batched_matches_per_alpha(dim, n, order, source):
     assert all(isinstance(v, float) for v in single)
     assert sups.tolist() == single
     assert derivative_sup(g, samples, np.array(alphas)).tolist() == single
+    assert single == _derivative_sup_by_dimension(g, samples, alphas)
     # the separable inverse rounds differently from one full inverse
     reference = [_derivative_sup_reference(g, samples, alpha) for alpha in alphas]
     np.testing.assert_allclose(sups, reference, rtol=1e-13, atol=0.0)

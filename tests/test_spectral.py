@@ -16,6 +16,7 @@ from fracheatlab.spectral import (
     inverse,
     semigroup_apply,
     project,
+    _conjugate_partner,
 )
 
 
@@ -38,6 +39,45 @@ def test_grid_validation():
     assert g.cell_volume == pytest.approx((3.0 / 16) ** 2)
     assert g.nyquist_axis == pytest.approx(np.pi * 16 / 3.0)
     assert g.nyquist_radius == pytest.approx(np.sqrt(2) * np.pi * 16 / 3.0)
+
+
+def _explicit_lattice(g):
+    """The per-dimension constructions of the grid arrays, written out for
+    1D and 2D separately, as an oracle for the per-axis layout."""
+    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
+    x = g.dx * np.arange(g.n)
+    xc = np.where(x >= g.period / 2, x - g.period, x)
+    keep = np.abs(np.fft.fftfreq(g.n, d=1.0 / g.n)) <= g.n / 3.0
+    partner = np.roll(np.arange(g.n)[::-1], 1)
+    if g.dim == 1:
+        return {"k": (k,), "k_mag": np.abs(k), "x": (x,), "xc": (xc,), "mask": keep,
+                "partner": partner}
+    return {
+        "k": (k[:, None], k[None, :]), "k_mag": np.sqrt(k[:, None] ** 2 + k[None, :] ** 2),
+        "x": (x[:, None], x[None, :]), "xc": (xc[:, None], xc[None, :]),
+        "mask": keep[:, None] & keep[None, :], "partner": np.ix_(partner, partner),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lattice_arrays_match_explicit_construction(dim):
+    for n in (8, 10, 34, 64, 256):
+        for period in (1.0, 2 * np.pi, 8 * np.pi, 3.7):
+            g = GridSpec(dim, n, period)
+            ref = _explicit_lattice(g)
+            shapes = [a.shape for a in g.per_axis(np.arange(n))]
+            assert shapes == [(n,) + (1,) * (dim - 1 - i) for i in range(dim)]
+            for name, axes in (("k", g.k_axes), ("x", g.x_axes), ("xc", g.x_centered_axes)):
+                assert len(axes) == dim
+                for ours, theirs in zip(axes, ref[name]):
+                    ours, theirs = np.broadcast_arrays(ours, theirs)
+                    assert ours.tobytes() == theirs.tobytes(), (name, n, period)
+            assert g.k_mag.shape == g.shape
+            assert g.k_mag.tobytes() == ref["k_mag"].tobytes(), (n, period)
+            assert g.dealias_mask.shape == g.shape
+            assert np.array_equal(g.dealias_mask, ref["mask"])
+            c = _rng("partner", n).standard_normal(g.shape)
+            assert np.array_equal(c[_conjugate_partner(g)], c[ref["partner"]])
 
 
 def test_constant_field_coefficients():

@@ -126,6 +126,46 @@ def test_random_per_cell_meets_quota():
     assert not np.array_equal(ts.indicator, other.indicator)
 
 
+def _explicit_slab(g, scale, fraction):
+    """The per-dimension slab and per-cell builders, written out for 1D and
+    2D separately, as oracles for the builders."""
+    m = round(scale / g.dx)
+    along = (np.arange(g.n) % m) < int(round(fraction * m))
+    return along if g.dim == 1 else np.broadcast_to(along[:, None], g.shape).copy()
+
+
+def _explicit_random_per_cell(g, scale, fraction, seed):
+    m = round(scale / g.dx)
+    blocks = g.n // m
+    rng = make_generator(seed, stream="random_per_cell")
+    ind = np.zeros(g.shape, dtype=bool)
+    if g.dim == 1:
+        quota = max(1, int(round(fraction * m)))
+        for b in range(blocks):
+            ind[b * m + rng.choice(m, size=quota, replace=False)] = True
+        return ind
+    quota = max(1, int(round(fraction * m * m)))
+    for bi in range(blocks):
+        for bj in range(blocks):
+            chosen = rng.choice(m * m, size=quota, replace=False)
+            ind[bi * m + chosen // m, bj * m + chosen % m] = True
+    return ind
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_set_builders_match_explicit_construction(dim):
+    g = GridSpec(dim, 32, 2.0)
+    for scale in (0.125, 0.25, 0.5, 2.0):
+        for fraction in (0.05, 0.3, 0.5, 1.0):
+            slab = SET_BUILDERS["periodic_slab"](g, scale, fraction=fraction)
+            assert slab.dtype == bool
+            assert np.array_equal(slab, _explicit_slab(g, scale, fraction))
+            for seed in (0, 7, 1234):
+                cells = SET_BUILDERS["random_per_cell"](g, scale, fraction=fraction, seed=seed)
+                assert cells.dtype == bool
+                assert np.array_equal(cells, _explicit_random_per_cell(g, scale, fraction, seed))
+
+
 def test_complement_of_ball():
     g = GridSpec(1, 64, 8.0)
     ts = build_set("complement_of_ball", g, scale=1.0, radius=2.0)
