@@ -576,6 +576,7 @@ def run_class_verify(cfg, inputs, outdir: Path) -> _Result:
         ("alpha_max", alpha_max),
         ("passed", rep.passed),
         ("worst_ratio", rep.worst_ratio),
+        ("unchecked", rep.unchecked),
     ]
     return _Result(
         "class_check.csv", ["t", "passed", "worst_ratio", "worst_alpha"], rows, lines,

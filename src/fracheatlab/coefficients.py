@@ -20,7 +20,7 @@ any evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 from typing import Callable
 
 import numpy as np
@@ -215,6 +215,9 @@ class ClassCheckReport:
     alpha_max: int
     rel_tol: float
     rows: tuple
+    # multi-indices whose budget plus noise allowance is past the float
+    # range at some checked time: their ratio is 0 whatever is measured
+    unchecked: int
 
 
 def verify_class(
@@ -232,13 +235,17 @@ def verify_class(
     each comparison allows an absolute floor of
     8*n^dim*eps*sup|a|*nyquist^|alpha| on top of the relative tolerance;
     orders where that floor exceeds the budget are effectively unresolvable
-    on the given grid, and past the float range it is infinite.  A zero
-    budget passes only against an observed sup below 1e-12.
+    on the given grid.  Past the float range a budget or a floor is
+    infinite and checks nothing: those multi-indices are counted in
+    ``unchecked``.  A zero budget passes only against an observed sup below
+    1e-12.
     """
     if a.class_info is None:
         raise ValueError("coefficient declares no class to verify")
     alphas = _multi_indices(a.grid.dim, alpha_max)
-    bounds = [a.class_info.derivative_bound(alpha) for alpha in alphas]
+    with np.errstate(over="ignore"):
+        bounds = [a.class_info.derivative_bound(alpha) for alpha in alphas]
+    unchecked = set()
     rows = []
     previous = None
     for t in t_grid:
@@ -250,17 +257,22 @@ def verify_class(
         sup0 = float(np.max(np.abs(samples)))
         noise_unit = 8.0 * np.finfo(float).eps * a.grid.n**a.grid.dim * sup0
         worst, worst_alpha = 0.0, (0,) * a.grid.dim
-        for alpha, obs, bound in zip(alphas, sups, bounds):
-            try:
-                allowance = noise_unit * a.grid.nyquist_axis ** sum(alpha)
-            except OverflowError:
-                allowance = np.inf
-            if bound == 0.0:
-                ratio = 0.0 if obs <= max(1e-12, allowance) else np.inf
-            else:
-                ratio = obs / (bound * (1.0 + rel_tol) + allowance)
-            if ratio > worst:
-                worst, worst_alpha = ratio, alpha
+        with np.errstate(over="ignore"):
+            for alpha, obs, bound in zip(alphas, sups, bounds):
+                try:
+                    allowance = noise_unit * a.grid.nyquist_axis ** sum(alpha)
+                except OverflowError:
+                    allowance = np.inf
+                if bound == 0.0:
+                    limit = max(1e-12, allowance)
+                    ratio = 0.0 if obs <= limit else np.inf
+                else:
+                    limit = bound * (1.0 + rel_tol) + allowance
+                    ratio = obs / limit
+                if not isfinite(limit):
+                    unchecked.add(alpha)
+                if ratio > worst:
+                    worst, worst_alpha = ratio, alpha
         rows.append((float(t), float(worst), worst_alpha))
     # the first time reaching the overall maximum, as a strict > scan finds it
     worst_t, worst, worst_alpha = max(rows, key=lambda row: row[1])
@@ -272,6 +284,7 @@ def verify_class(
         alpha_max=alpha_max,
         rel_tol=rel_tol,
         rows=tuple(rows),
+        unchecked=len(unchecked),
     )
 
 

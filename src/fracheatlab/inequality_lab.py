@@ -6,8 +6,9 @@ computes:
 
 * sharp restriction constants for band-limited fields on an observation
   set, as inverse smallest eigenvalues of the restriction Gram matrix,
-  written real symmetric on the band's cosine/sine basis and solved densely,
-  plus their growth fit in the band radius;
+  written real symmetric on the band's cosine/sine basis, factored by
+  Cholesky and solved by Lanczos on its inverse, plus their growth fit in
+  the band radius;
 * analytic-radius estimates from the decay of per-shell spectral maxima;
 * interpolation log-ratios between the full norm, the restricted norm,
   and an earlier norm over pairs of recorded times;
@@ -25,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import make_generator
 from .spectral import GridSpec, SpectralField, _conjugate_partner, _require_single
 
 __all__ = [
@@ -123,24 +125,67 @@ def _restriction_gram(obs, band: float) -> np.ndarray:
     return gram
 
 
+def _largest_eigenvalue(apply, size: int) -> float:
+    """Largest eigenvalue of the symmetric positive definite operator
+    ``apply`` on R^size, by Lanczos with full reorthogonalization (two
+    passes) from a fixed pseudo-random start.
+
+    Each step reads the largest Ritz value theta of the tridiagonal.  The
+    iteration stops once theta grows by at most 1e-14*theta in one step,
+    once the Krylov space is invariant, or at step ``size``, where the
+    Krylov space is the whole space and theta is exact.  The start is
+    random because a symmetric one (all ones, say) can be orthogonal to the
+    top eigenvector of an operator that shares its symmetry.
+    """
+    import scipy.linalg
+    start = make_generator(0, "lanczos_start").standard_normal(size)
+    basis, alpha, beta = [start / np.linalg.norm(start)], [], []
+    theta = 0.0
+    while True:
+        w = apply(basis[-1])
+        alpha.append(basis[-1] @ w)
+        known = np.array(basis)
+        for _ in range(2):
+            w -= (known @ w) @ known
+        grown = float(scipy.linalg.eigvalsh(
+            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1),
+            subset_by_index=[len(alpha) - 1] * 2, check_finite=False,
+        )[0])
+        norm = float(np.linalg.norm(w))
+        if grown - theta <= 1e-14 * grown or norm <= 1e-14 * grown or len(basis) == size:
+            return grown
+        theta = grown
+        beta.append(norm)
+        basis.append(w / norm)
+
+
 def ls_constant(obs, band: float) -> float:
     """Sharp restriction constant for the band-limited space on obs.
 
     For every field f with spectrum in |k| <= band,
     ||f||^2 <= C * ||f||^2_E with C the value returned here: the inverse
-    smallest eigenvalue of the real symmetric restriction Gram, taken by one
-    dense eigensolve.  The bound is attained by the eigenvector of that
-    eigenvalue.  Raises ThinSetError when the eigenvalue sits below the
+    smallest eigenvalue of the real symmetric restriction Gram.  The Gram is
+    factored once by Cholesky, and Lanczos on its inverse (shift-invert at
+    zero) reads the smallest eigenvalue as 1/theta for the largest Ritz
+    value theta, to round-off of order C*eps.  The bound is attained by the
+    eigenvector of that eigenvalue.  Raises ThinSetError when the Gram is
+    not numerically positive definite or the eigenvalue sits below the
     working-precision floor (the set is too thin at this band).
     """
     # imported here, its only use, so the CLI starts without it
     import scipy.linalg
     gram = _restriction_gram(obs, band)
-    # the Gram is Fortran-ordered and used once, so LAPACK overwrites it
-    # instead of copying it
-    lam_min = float(scipy.linalg.eigvalsh(
-        gram, subset_by_index=[0, 0], check_finite=False, overwrite_a=True
-    )[0])
+    try:
+        # the Gram is Fortran-ordered and used once, so LAPACK factors it
+        # in place instead of copying it
+        factor = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise ThinSetError(
+            f"set too thin at band {band}: the Gram is not numerically positive definite"
+        ) from None
+    lam_min = 1.0 / _largest_eigenvalue(
+        lambda v: scipy.linalg.cho_solve(factor, v, check_finite=False), len(gram)
+    )
     if lam_min <= _THIN_EIGENVALUE:
         raise ThinSetError(
             f"set too thin at band {band}: smallest Gram eigenvalue "

@@ -115,7 +115,9 @@ class GridSpec:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep modes with |m| <= n/3 on every axis."""
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        # fftfreq(n, 1/n) is not integral for every n (158.00000000000003 at
+        # n = 474), so the boundary mode |m| = n/3 needs the rounded index
+        m = np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n))
         return reduce(np.logical_and, self.per_axis(np.abs(m) <= self.n / 3.0))
 
 

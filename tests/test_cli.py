@@ -778,11 +778,29 @@ def test_derivatives_past_the_float_range_exit_2(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "numerical failure in derivative measurement" in err and "(129,)" in err
-    # order 128 is still finite; its noise allowance is past the float range
+    # order 128 is still finite; its noise allowance is past the float
+    # range, so it is the one unchecked order
     rc, out = _run(tmp_path, "class-verify", "--set", "grid.n=512",
                    "--set", "class.alpha_max=128", tag="order128")
     assert rc == 0
-    assert "passed = true" in (out / "summary.txt").read_text()
+    summary = (out / "summary.txt").read_text()
+    assert "passed = true" in summary and "unchecked = 1\n" in summary
+
+
+def test_budgets_past_the_float_range_are_counted_unchecked(tmp_path):
+    # R = 0.25 puts C*alpha!/R^|alpha| past the float range from order 134
+    # on: those budgets bound nothing, and no overflow warning may leak
+    code = "import sys; from fracheatlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["class-verify", "--set", "grid.dim=2", "--set", "grid.n=32",
+            "--set", "coeff.name=fourier_decay", "--set", "class.alpha_max=170",
+            "--output", str(tmp_path)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "passed = true" in summary and "unchecked = 4039" in summary
 
 
 def _lying_coefficient(name, grid, **kwargs):

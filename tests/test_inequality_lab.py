@@ -188,6 +188,65 @@ def test_ls_constant_matches_dense_oracle_at_nyquist():
         assert impl == pytest.approx(_dense_ls_oracle(obs2, band), rel=1e-10)
 
 
+@pytest.mark.parametrize("dim, kind, params", [
+    (1, "periodic_slab", {"scale": np.pi / 8, "fraction": 0.75}),
+    (2, "periodic_slab", {"scale": np.pi / 4, "fraction": 0.75}),
+    (2, "complement_of_ball", {"scale": np.pi / 2, "radius": 2.0}),
+])
+def test_ls_constant_matches_dense_oracle_on_symmetric_sets(dim, kind, params):
+    # a reflection-symmetric set splits the Gram into invariant blocks, and
+    # the minimizer can sit in a block that a symmetric Lanczos start never
+    # reaches: from all ones, the slabs read C a third too low
+    g = GridSpec(dim, 64 if dim == 1 else 32, 2 * np.pi)
+    obs = build_set(kind, g, **params)
+    checked = 0
+    for band in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0):
+        oracle = _dense_ls_oracle(obs, band)
+        if not 0.0 < oracle <= 1e6:
+            continue
+        assert ls_constant(obs, band) == pytest.approx(oracle, rel=1e-10)
+        checked += 1
+    assert checked >= 4
+
+
+def test_ls_constant_statuses_match_dense_solve_on_an_ill_conditioned_slab():
+    # Cholesky plus Lanczos against a dense eigvalsh of the same Gram, up to
+    # C ~ 1e13 and past the thin floor: round-off of order C*eps apart
+    g = GridSpec(1, 1024, 2 * np.pi)
+    obs = build_set("periodic_slab", g, scale=np.pi / 8, fraction=0.25)
+    compared = 0
+    for band in np.arange(4.0, 125.0, 12.0):
+        lam = np.linalg.eigvalsh(_restriction_gram(obs, band))[0]
+        try:
+            c = ls_constant(obs, band)
+        except ThinSetError:
+            assert lam <= 1e-13, band
+            continue
+        assert lam > 1e-13, band
+        if 1.0 / lam <= 1e11:
+            assert c == pytest.approx(1.0 / lam, rel=1e-5)
+            compared += 1
+    assert compared >= 5
+
+
+def test_cholesky_failure_raises_thin_set_error():
+    # 25 modes against 16 observation points: the factorization breaks down
+    import scipy.linalg
+    g = GridSpec(1, 32, 1.0)
+    obs = build_set("periodic_slab", g, scale=0.25, fraction=0.5)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(_restriction_gram(obs, 80.0))
+    with pytest.raises(ThinSetError):
+        ls_constant(obs, 80.0)
+
+
+def test_ls_constant_reruns_bit_identical():
+    g = GridSpec(2, 64, 2 * np.pi)
+    obs = build_set("random_per_cell", g, scale=np.pi / 4, fraction=0.3, seed=3)
+    first = [ls_constant(obs, band) for band in (4.0, 8.0, 12.0)]
+    assert [ls_constant(obs, band) for band in (4.0, 8.0, 12.0)] == first
+
+
 def _negate(m, n):
     """Lattice negation mod n: a -n/2 component stays, the others flip."""
     return tuple(c if c == -(n // 2) else -c for c in m)

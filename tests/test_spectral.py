@@ -47,7 +47,8 @@ def _explicit_lattice(g):
     k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
     x = g.dx * np.arange(g.n)
     xc = np.where(x >= g.period / 2, x - g.period, x)
-    keep = np.abs(np.fft.fftfreq(g.n, d=1.0 / g.n)) <= g.n / 3.0
+    m = np.concatenate([np.arange(g.n // 2), np.arange(-(g.n // 2), 0)])
+    keep = 3 * np.abs(m) <= g.n
     partner = np.roll(np.arange(g.n)[::-1], 1)
     if g.dim == 1:
         return {"k": (k,), "k_mag": np.abs(k), "x": (x,), "xc": (xc,), "mask": keep,
@@ -78,6 +79,15 @@ def test_lattice_arrays_match_explicit_construction(dim):
             assert np.array_equal(g.dealias_mask, ref["mask"])
             c = _rng("partner", n).standard_normal(g.shape)
             assert np.array_equal(c[_conjugate_partner(g)], c[ref["partner"]])
+
+
+def test_dealias_mask_keeps_the_two_thirds_rule_modes():
+    # fftfreq(474, 1/474) reads 158.00000000000003 at the boundary mode
+    # |m| = n/3, which the 2/3 rule keeps
+    g = GridSpec(2, 474, 1.0)
+    assert np.count_nonzero(g.dealias_mask) == 317**2
+    for n in range(8, 4097, 2):
+        assert np.count_nonzero(GridSpec(1, n, 1.0).dealias_mask) == 2 * (n // 3) + 1, n
 
 
 def test_constant_field_coefficients():
