@@ -95,7 +95,7 @@ _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 # the largest magnitude of a number, by its type: floats are finite and ints
 # fit the 64-bit integers the builders convert them to
 _LIMITS = {int: 2**63 - 1, float: sys.float_info.max}
-# the most bands one ls-scan computes, each a dense eigensolve
+# the most bands one ls-scan computes, each a Lanczos run on one shared factor
 _MAX_BANDS = 10_000
 # the most steps dynamics.T / dynamics.dt may ask of the integrator
 _MAX_STEPS = 10**9
@@ -440,6 +440,8 @@ def run_ls_scan(cfg, inputs, outdir: Path) -> _Result:
         ("log_fit_slope", fit.slope),
         ("log_fit_intercept", fit.intercept),
         ("log_fit_residual_rms", fit.residual_rms),
+        ("gram_modes", fit.gram_modes),
+        ("factored_modes", fit.factored_modes),
     ]
     monotone = all(lo <= hi * (1.0 + 1e-9) for lo, hi in zip(resolved_c, resolved_c[1:]))
     return _Result(

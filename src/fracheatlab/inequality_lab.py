@@ -6,9 +6,10 @@ computes:
 
 * sharp restriction constants for band-limited fields on an observation
   set, as inverse smallest eigenvalues of the restriction Gram matrix,
-  written real symmetric on the band's cosine/sine basis, factored by
-  Cholesky and solved by Lanczos on its inverse, plus their growth fit in
-  the band radius;
+  written real symmetric on the band's cosine/sine basis in shell order,
+  factored by Cholesky and solved by Lanczos on its inverse, plus their
+  growth fit in the band radius, which builds and factors the largest
+  band's Gram once: every smaller band's is its leading block;
 * analytic-radius estimates from the decay of per-shell spectral maxima;
 * interpolation log-ratios between the full norm, the restricted norm,
   and an earlier norm over pairs of recorded times;
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 _THIN_EIGENVALUE = 1e-13
+# entries per temporary of a Gram build: the Gram is written in column chunks
+_GRAM_CHUNK = 1 << 18
 # a radius fit uses the shells whose maximum exceeds this share of the peak
 _DECAY_FLOOR = 1e-13
 # gaps on the geometric grid a space-time lift is dominated on
@@ -79,22 +82,24 @@ def _band_modes(grid: GridSpec, band: float) -> np.ndarray:
 
 
 def _restriction_gram(obs, band: float) -> np.ndarray:
-    """Gram matrix of the restriction to obs on a real basis of the band.
+    """Lower triangle of the Gram matrix of the restriction to obs on a real
+    basis of the band, in shell order; the strict upper triangle is zero.
 
     The band's exponentials e_m have the Hermitian Gram g(m_c - m_r), with g
     the normalized Fourier transform of the indicator.  The indicator is
     real, so g(-d) = conj g(d), and negation mod n maps the band onto
     itself.  On the basis of the self-conjugate modes (m = -m mod n), the
     cosines (e_m + e_-m)/sqrt(2) and the sines i(e_m - e_-m)/sqrt(2), one
-    per pair, the Gram is real symmetric with the same spectrum:
+    per pair, the Gram is real symmetric with the same spectrum.  With
+    phi = 1 for a cosine and phi = i for a sine,
 
-        cos/cos  Re g(k-l) + Re g(k+l)
-        cos/sin  Im g(k-l) - Im g(k+l)
-        sin/sin  Re g(k-l) - Re g(k+l)
+        G[k, l] = Re(phi_k conj(phi_l) g(k-l)) + Re(phi_k phi_l g(k+l))
 
     for the row mode k and column mode l; a self-conjugate mode is its own
-    cosine scaled by 1/sqrt(2).  g is made exactly Hermitian first, so the
-    matrix is exactly symmetric.
+    cosine scaled by 1/sqrt(2).  g is made exactly Hermitian first.  The
+    basis is sorted by |m|^2, then by mode, cosine before sine, so a band's
+    basis is a prefix of every larger band's and its Gram is their leading
+    block, bit for bit.
     """
     grid = obs.grid
     n, dim = grid.n, grid.dim
@@ -111,18 +116,48 @@ def _restriction_gram(obs, band: float) -> np.ndarray:
     neg = np.where(modes == -(n // 2), modes, -modes)
     key, neg_key = modes @ weights, neg @ weights
     first = key >= neg_key  # the self-conjugate modes and one mode per pair
-    cos, sin = key[first], key[key > neg_key]
-    scale = np.where(cos == neg_key[first], np.sqrt(0.5), 1.0)
-    rows_c, rows_s = cos[:, None] + offset, sin[:, None] + offset
-    nc = len(cos)
-    gram = np.empty((len(modes), len(modes)), order="F")
-    np.add(re[rows_c - cos], re[rows_c + cos], out=gram[:nc, :nc])
-    np.subtract(im[rows_c - sin], im[rows_c + sin], out=gram[:nc, nc:])
-    np.subtract(re[rows_s - sin], re[rows_s + sin], out=gram[nc:, nc:])
-    gram[nc:, :nc] = gram[:nc, nc:].T
-    gram[:nc] *= scale[:, None]
-    gram[:, :nc] *= scale
+    pair = key > neg_key
+    mode = np.concatenate([key[first], key[pair]])
+    sine = np.repeat([0, 1], [first.sum(), pair.sum()])
+    shell = (modes**2).sum(axis=1)
+    order = np.lexsort((sine, mode, np.concatenate([shell[first], shell[pair]])))
+    mode, sine = mode[order], sine[order]
+    # the tables of Re(phi g) stacked by phi = phi_k conj(phi_l) (first) and
+    # phi = phi_k phi_l (second) over cos/cos, cos/sin, sin/cos, sin/sin:
+    # each gather index is a row part plus a column part
+    first_term = np.concatenate([re, im, -im, re])
+    second_term = np.concatenate([re, -im, -im, -re])
+    rows = 2 * len(re) * sine + mode + offset
+    cols_first, cols_second = len(re) * sine - mode, len(re) * sine + mode
+    size = len(mode)
+    gram = np.zeros((size, size), order="F")
+    width = max(1, _GRAM_CHUNK // size)
+    for c0 in range(0, size, width):
+        c1 = min(c0 + width, size)
+        # one row per Gram column c, holding its rows r >= c0
+        index = cols_first[c0:c1, None] + rows[c0:]
+        block = first_term[index]
+        np.add(cols_second[c0:c1, None], rows[c0:], out=index)
+        block += second_term[index]
+        block[:, :c1 - c0][np.tri(c1 - c0, k=-1, dtype=bool)] = 0.0  # r < c
+        gram[c0:, c0:c1] = block.T
+    selfconj = np.flatnonzero(np.isin(mode, key[key == neg_key]))
+    gram[selfconj] *= np.sqrt(0.5)
+    gram[:, selfconj] *= np.sqrt(0.5)
     return gram
+
+
+def _gram_factor(obs, band: float) -> tuple:
+    """Cholesky factor L (lower, in place of the Gram) of the band's shell-
+    ordered Gram, and the largest order whose leading block is factored:
+    the Gram's size, or one less than the first leading minor that is not
+    numerically positive definite.  A band's basis is a leading block of
+    this one, and so is its factor."""
+    import scipy.linalg.lapack
+    lower, info = scipy.linalg.lapack.dpotrf(
+        _restriction_gram(obs, band), lower=1, clean=0, overwrite_a=1
+    )
+    return lower, len(lower) if info == 0 else info - 1
 
 
 def _largest_eigenvalue(apply, size: int) -> float:
@@ -159,32 +194,37 @@ def _largest_eigenvalue(apply, size: int) -> float:
         basis.append(w / norm)
 
 
-def ls_constant(obs, band: float) -> float:
+def ls_constant(obs, band: float, factor: tuple | None = None) -> float:
     """Sharp restriction constant for the band-limited space on obs.
 
     For every field f with spectrum in |k| <= band,
     ||f||^2 <= C * ||f||^2_E with C the value returned here: the inverse
-    smallest eigenvalue of the real symmetric restriction Gram.  The Gram is
-    factored once by Cholesky, and Lanczos on its inverse (shift-invert at
-    zero) reads the smallest eigenvalue as 1/theta for the largest Ritz
-    value theta, to round-off of order C*eps.  The bound is attained by the
-    eigenvector of that eigenvalue.  Raises ThinSetError when the Gram is
-    not numerically positive definite or the eigenvalue sits below the
-    working-precision floor (the set is too thin at this band).
+    smallest eigenvalue of the real symmetric restriction Gram.  The Gram's
+    Cholesky factor is the leading block of ``factor``, the
+    ``_gram_factor`` of any band at least this one (this band's own when
+    None), and Lanczos on the inverse Gram (shift-invert at zero) reads the
+    smallest eigenvalue as 1/theta for the largest Ritz value theta, to
+    round-off of order C*eps.  The bound is attained by the eigenvector of
+    that eigenvalue.  Raises ThinSetError when the Gram is not numerically
+    positive definite or the eigenvalue sits below the working-precision
+    floor (the set is too thin at this band).
     """
     # imported here, its only use, so the CLI starts without it
     import scipy.linalg
-    gram = _restriction_gram(obs, band)
-    try:
-        # the Gram is Fortran-ordered and used once, so LAPACK factors it
-        # in place instead of copying it
-        factor = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    if factor is None:
+        factor = _gram_factor(obs, band)
+    size = len(_band_modes(obs.grid, band))
+    lower, factored = factor
+    if size > len(lower):
+        raise ValueError(f"a factor of {len(lower)} modes cannot hold band {band} ({size} modes)")
+    if size > factored:
         raise ThinSetError(
             f"set too thin at band {band}: the Gram is not numerically positive definite"
-        ) from None
+        )
+    # one contiguous copy of the leading block, not one per solve
+    block = (np.asfortranarray(lower[:size, :size]), True)
     lam_min = 1.0 / _largest_eigenvalue(
-        lambda v: scipy.linalg.cho_solve(factor, v, check_finite=False), len(gram)
+        lambda v: scipy.linalg.cho_solve(block, v, check_finite=False), size
     )
     if lam_min <= _THIN_EIGENVALUE:
         raise ThinSetError(
@@ -202,6 +242,8 @@ class LSGrowthReport:
     slope: float
     intercept: float
     residual_rms: float
+    gram_modes: int  # the size of the one Gram built, the largest band's
+    factored_modes: int  # the largest order of its leading block that factored
 
     def resolved(self):
         keep = np.array([s == "ok" for s in self.statuses])
@@ -212,14 +254,16 @@ def ls_growth_fit(obs, bands) -> LSGrowthReport:
     """Scan restriction constants over band radii and fit log C vs band.
 
     Bands where the set is numerically unobservable are recorded with
-    status 'too_thin' and excluded from the fit.
+    status 'too_thin' and excluded from the fit.  The largest band's Gram
+    is built and factored once; every band reads its leading block.
     """
     bands = np.asarray(sorted(bands), dtype=float)
     constants = np.full(len(bands), np.nan)
     statuses = []
+    factor = _gram_factor(obs, max(bands, default=0.0))
     for i, band in enumerate(bands):
         try:
-            constants[i] = ls_constant(obs, band)
+            constants[i] = ls_constant(obs, band, factor)
             statuses.append("ok")
         except ThinSetError:
             statuses.append("too_thin")
@@ -238,6 +282,8 @@ def ls_growth_fit(obs, bands) -> LSGrowthReport:
         slope=float(slope),
         intercept=float(intercept),
         residual_rms=rms,
+        gram_modes=len(factor[0]),
+        factored_modes=factor[1],
     )
 
 

@@ -26,6 +26,7 @@ from fracheatlab.inequality_lab import (
     ThinSetError,
     InsufficientDecayError,
     _band_modes,
+    _gram_factor,
     _interp_pairs,
     _restriction_gram,
     _shell_maxima,
@@ -235,7 +236,7 @@ def test_cholesky_failure_raises_thin_set_error():
     g = GridSpec(1, 32, 1.0)
     obs = build_set("periodic_slab", g, scale=0.25, fraction=0.5)
     with pytest.raises(np.linalg.LinAlgError):
-        scipy.linalg.cho_factor(_restriction_gram(obs, 80.0))
+        scipy.linalg.cho_factor(_restriction_gram(obs, 80.0), lower=True)
     with pytest.raises(ThinSetError):
         ls_constant(obs, 80.0)
 
@@ -247,6 +248,80 @@ def test_ls_constant_reruns_bit_identical():
     assert [ls_constant(obs, band) for band in (4.0, 8.0, 12.0)] == first
 
 
+@pytest.mark.parametrize("dim, n, period, kind, params, bands", [
+    # the ls-scan-2d benchmark set on a coarser grid: bands 20-28 do not factor
+    (2, 64, 2 * np.pi, "random_per_cell", {"scale": np.pi / 4, "fraction": 0.3, "seed": 0},
+     np.arange(4.0, 29.0, 4.0)),
+    # bands 80-92 factor but sit below the thin floor, and 96-128 do not factor
+    (1, 1024, 2 * np.pi, "periodic_slab", {"scale": np.pi / 8, "fraction": 0.25},
+     np.arange(4.0, 129.0, 4.0)),
+    # the 2D ls-scan defaults at n=32: bands 0-48 are ok, 52-64 do not factor
+    (2, 32, 1.0, "periodic_slab", {"scale": 0.5, "fraction": 0.5}, np.arange(0.0, 65.0, 4.0)),
+])
+def test_ls_growth_fit_matches_dense_oracle_per_band(dim, n, period, kind, params, bands):
+    # one factor of the largest band's Gram against a dense eigensolve of
+    # every band's own sampled Gram: the same statuses, and the constants to
+    # round-off of order C*eps
+    obs = build_set(kind, GridSpec(dim, n, period), **params)
+    rep = ls_growth_fit(obs, bands)
+    assert 0 < rep.factored_modes < rep.gram_modes
+    # the leading block the scan reads is a true Cholesky factor
+    lower, factored = _gram_factor(obs, bands[-1])
+    gram = _restriction_gram(obs, bands[-1])[:factored, :factored]
+    lower = np.tril(lower[:factored, :factored])
+    assert factored == rep.factored_modes and np.all(np.diag(lower) > 0)
+    assert np.max(np.abs(lower @ lower.T - np.tril(gram) - np.tril(gram, -1).T)) <= 1e-12
+    compared = 0
+    for band, status, c in zip(rep.bands, rep.statuses, rep.constants):
+        ms, dense = _dense_gram(obs, band)
+        lam = np.linalg.eigvalsh(dense)[0]
+        assert status == ("ok" if lam > 1e-13 else "too_thin"), band
+        if status == "ok" and 1.0 / lam <= 1e11:
+            assert c == pytest.approx(1.0 / lam, rel=1e-5), band
+            compared += 1
+    assert compared >= 4 and rep.gram_modes == len(ms)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_restriction_gram_is_the_leading_block_of_a_larger_bands(dim, monkeypatch):
+    # n/2 odd and even; a narrow column chunk splits every Gram differently
+    # and must not change a bit
+    for n in (16, 18):
+        g = GridSpec(dim, n, 2 * np.pi)
+        ind = make_generator(507, f"prefix{dim}_{n}").random(g.shape) < 0.6
+        obs = ThickSet.from_indicator(g, ind, 2 * g.dx)
+        bands = (0.0, 1.0, 2.5, 3.0, g.nyquist_axis / 2, g.nyquist_axis, g.nyquist_radius)
+        grams = [_restriction_gram(obs, band).view(np.uint64) for band in bands]
+        for i, small in enumerate(grams):
+            size = len(small)
+            for big in grams[i + 1:]:
+                assert np.array_equal(small, big[:size, :size]), (n, bands[i])
+        monkeypatch.setattr("fracheatlab.inequality_lab._GRAM_CHUNK", 3 * n)
+        for band, gram in zip(bands, grams):
+            assert np.array_equal(_restriction_gram(obs, band).view(np.uint64), gram)
+        monkeypatch.undo()
+
+
+def test_ls_growth_fit_takes_unsorted_and_repeated_bands():
+    obs = build_set("periodic_slab", GridSpec(1, 32, 1.0), scale=0.25, fraction=0.5)
+    ref = ls_growth_fit(obs, [0.0, 10.0, 10.0, 20.0, 40.0, 60.0])
+    rep = ls_growth_fit(obs, [60.0, 10.0, 40.0, 0.0, 20.0, 10.0])
+    assert ref.statuses[-1] == "too_thin" and ref.constants[1] == ref.constants[2]
+    assert np.array_equal(rep.bands, ref.bands)
+    assert np.array_equal(rep.constants, ref.constants, equal_nan=True)
+    assert (rep.statuses, rep.gram_modes, rep.factored_modes) == (
+        ref.statuses, ref.gram_modes, ref.factored_modes)
+    assert [rep.slope, rep.intercept, rep.residual_rms] == [
+        ref.slope, ref.intercept, ref.residual_rms]
+    with pytest.raises(ValueError, match="nonnegative"):
+        ls_growth_fit(obs, [10.0, -1.0, 20.0])
+    with pytest.raises(ValueError, match="Nyquist"):
+        ls_growth_fit(obs, [10.0, 1e6])
+    # a factor must hold the band: a smaller band's is refused, not too_thin
+    with pytest.raises(ValueError, match="cannot hold"):
+        ls_constant(obs, 20.0, _gram_factor(obs, 10.0))
+
+
 def _negate(m, n):
     """Lattice negation mod n: a -n/2 component stays, the others flip."""
     return tuple(c if c == -(n // 2) else -c for c in m)
@@ -254,17 +329,22 @@ def _negate(m, n):
 
 def _real_basis_image(ms, n, v):
     """Coordinates w = U^H v of v on the documented real basis: the
-    self-conjugate modes and, in band order, cosines (e_m + e_-m)/sqrt(2) of
-    the lexicographically larger mode of each pair, then the sines
-    i(e_m - e_-m)/sqrt(2)."""
+    self-conjugate modes and the cosines (e_m + e_-m)/sqrt(2) of the
+    lexicographically larger mode of each pair, and the sines
+    i(e_m - e_-m)/sqrt(2), sorted by |m|^2, then by mode, cosine first."""
     at = {m: v[i] for i, m in enumerate(ms)}
-    cos = [m for m in ms if m >= _negate(m, n)]
-    sin = [m for m in ms if m > _negate(m, n)]
-    w = [
-        at[m] if m == _negate(m, n) else (at[m] + at[_negate(m, n)]) / np.sqrt(2)
-        for m in cos
-    ]
-    w += [-1j * (at[m] - at[_negate(m, n)]) / np.sqrt(2) for m in sin]
+    basis = sorted(
+        [(sum(c * c for c in m), m, 0) for m in ms if m >= _negate(m, n)]
+        + [(sum(c * c for c in m), m, 1) for m in ms if m > _negate(m, n)]
+    )
+    w = []
+    for _, m, sine in basis:
+        if m == _negate(m, n):
+            w.append(at[m])
+        elif sine:
+            w.append(-1j * (at[m] - at[_negate(m, n)]) / np.sqrt(2))
+        else:
+            w.append((at[m] + at[_negate(m, n)]) / np.sqrt(2))
     return np.array(w)
 
 
@@ -272,14 +352,17 @@ def test_real_gram_quadratic_form_matches_complex_gram():
     """The real cos/sin-basis Gram is the complex Gram in an orthonormal
     basis: v^H G v = w^H G_real w for random complex v and its real-basis
     image w, which pins the orientation (G^T = conj G gives another form),
-    and w is real for a real field (v(-m) = conj v(m))."""
+    and w is real for a real field (v(-m) = conj v(m)).  The builder writes
+    the lower triangle only; the symmetric Gram is read from it."""
     rng = np.random.default_rng(505)
     for dim, n in ((1, 16), (2, 8)):
         g = GridSpec(dim, n, 1.0)
         obs = _random_set(g, 0.6, f"form{dim}")
         for band in (0.0, 0.4 * g.nyquist_axis, g.nyquist_axis, g.nyquist_radius):
             ms, gram = _dense_gram(obs, band)
-            real = _restriction_gram(obs, band)
+            lower = _restriction_gram(obs, band)
+            assert not np.triu(lower, 1).any()
+            real = lower + np.tril(lower, -1).T
             assert real.dtype == np.float64 and np.array_equal(real, real.T)
             partner = [ms.index(_negate(m, n)) for m in ms]
             for _ in range(4):
