@@ -23,10 +23,10 @@ number, and builds the experiment's inputs (grid, coefficient, set,
 initial data, bands, times); it fails with a ``ConfigError`` naming the key
 or key group before any work starts.  The work stage is the experiment's
 runner: it returns a ``_Result`` holding what it measured and whether its
-property failed, and writes nothing but ``simulate``'s optional snapshot and
-set files.  The output stage in ``main`` writes the files above.  ``main``
-alone maps outcomes to exit codes: 1 config error, 2 numerical failure (one
-of ``_NUMERICAL``, its stage named on stderr), 3 property violation when run
+property failed, and writes nothing but ``simulate``'s optional snapshot.
+The output stage in ``main`` writes the files above.  ``main`` alone maps
+outcomes to exit codes: 1 config error, 2 numerical failure (one of
+``_NUMERICAL``, its stage named on stderr), 3 property violation when run
 with ``--assert`` (for ``assert-suite``, always).  Any other exception is a
 bug and propagates.
 """
@@ -56,7 +56,7 @@ from .config import (
 )
 from .spectral import GridSpec
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
-from .thick_sets import SET_BUILDERS, build_set, save_bitmask
+from .thick_sets import SET_BUILDERS, build_set
 from .solver import IntegrationError, _step_schedule, energy_certificate, save_snapshot, simulate
 from .ensembles import make_ensemble, random_analytic_decay, random_band_limited, single_mode
 from .rng import make_generator
@@ -159,7 +159,6 @@ _SCHEMA = {
     "ensemble.count": _Key(int, 4, (1, np.inf, False)),
     "ensemble.kind": _Key(str, "mixed"),
     "output.snapshot": _Key(bool, False),
-    "output.save_set": _Key(bool, False),
     "ls.band_min": _Key(float, 0.0, (0.0, np.inf, False), owner="ls-scan"),
     "ls.band_max": _Key(float, 64.0, owner="ls-scan"),
     "ls.band_step": _Key(float, 4.0, (0.0, np.inf, True), owner="ls-scan"),
@@ -409,8 +408,6 @@ def run_simulate(cfg, inputs, outdir: Path) -> _Result:
     traj = _simulate_stage(inputs["init"], a, cfg, obs, store_states=True)
     if cfg["output.snapshot"]:
         save_snapshot(outdir / "final_state.snap", traj.final_state, traj.final_time)
-    if obs is not None and cfg["output.save_set"]:
-        save_bitmask(outdir / "observation_set.mask", obs)
     cert = energy_certificate(traj, a)
     lines = [
         ("final_time", traj.final_time),

@@ -292,17 +292,20 @@ def verify_class(
 class HsCheckReport:
     s: float
     alpha_max: int
-    prefactor: float
     derivative_sups: np.ndarray
     base: float
     boundary_value: float
     period: float
     points: int
 
+    @property
+    def prefactor(self) -> float:
+        """The prefactor at the report's own base."""
+        return self.prefactor_for_base(self.base)
+
     def prefactor_for_base(self, base: float) -> float:
         """Minimal K with sup|d^m h| <= K * base^m * m! over measured m."""
-        orders = np.arange(self.alpha_max + 1)
-        denom = np.array([base**m * factorial(m) for m in orders])
+        denom = np.array([base**m * factorial(m) for m in range(self.alpha_max + 1)])
         return float(np.max(self.derivative_sups / denom))
 
 
@@ -326,16 +329,12 @@ def h_s_derivative_check(s: float, alpha_max: int = 8) -> HsCheckReport:
     x = grid.x_centered_axes[0]
     h = (1.0 + x**2) ** (-s / 2.0)
     sups = derivative_sup(grid, h, _multi_indices(1, alpha_max))
-    base = 12.0
-    denom = np.array([base**m * factorial(m) for m in range(alpha_max + 1)])
-    prefactor = float(np.max(sups / denom))
     boundary = float((1.0 + (period / 2.0) ** 2) ** (-s / 2.0))
     return HsCheckReport(
         s=float(s),
         alpha_max=alpha_max,
-        prefactor=prefactor,
         derivative_sups=sups,
-        base=base,
+        base=12.0,
         boundary_value=boundary,
         period=period,
         points=points,

@@ -13,9 +13,9 @@ computes:
 * analytic-radius estimates from the decay of per-shell spectral maxima;
 * interpolation log-ratios between the full norm, the restricted norm,
   and an earlier norm over pairs of recorded times;
-* the constant assembled by geometric refinement toward the initial time
-  (closed form and its numerically accumulated series twin), and the lift
-  of a fixed-time interpolation constant to a space-time one;
+* the constant assembled by geometric refinement toward the initial time,
+  in closed form, and the lift of a fixed-time interpolation constant to a
+  space-time one;
 * an end-to-end observability experiment chaining all of the above on the
   recorded norms of a simulated ensemble.
 """
@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import make_generator
+from .solver import _log_growth, _sup_coeff
 from .spectral import GridSpec, SpectralField, _conjugate_partner, _require_single
 
 __all__ = [
@@ -370,10 +371,7 @@ def radius_estimate(field: SpectralField, window: tuple | None = None) -> Radius
 class TelescopeReport:
     lambda_: float
     closed_form: float
-    series_value: float
     log_closed_form: float
-    log_series_value: float
-    n_terms: int
 
 
 def telescope_constant(
@@ -386,13 +384,9 @@ def telescope_constant(
     lambda = ((C+1-theta)/(C+1))^(1/gap_exponent); that ratio is exactly
     what makes consecutive per-interval weights exp(-(C+1-theta)/
     (theta*l_{m+1}^delta)) chain together.  closed_form is the resulting
-    constant C^(1/theta) * exp((C+1)/(theta*T^delta)); series_value
-    re-derives it by accumulating the normalized telescoping weight
-    differences, whose full sum is exactly one, until a term falls below
-    1e-16 relative.  The truncated accumulation approaches the closed form
-    from below, so series_value <= closed_form up to round-off.  Log
-    versions are reported for parameter ranges where the plain values
-    overflow.
+    constant C^(1/theta) * exp((C+1)/(theta*T^delta)), the full sum of the
+    normalized telescoping weight differences.  The log version is reported
+    for parameter ranges where the plain value overflows.
     """
     c = float(c_interp)
     if c < 1.0:
@@ -408,42 +402,12 @@ def telescope_constant(
 
     lam = ((c + 1.0 - theta) / (c + 1.0)) ** (1.0 / delta)
     log_closed = np.log(c) / theta + (c + 1.0) / (theta * T**delta)
-
-    # telescoping weights relative to the first one; the accumulated sum of
-    # their differences converges to 1 and records how many refinement
-    # levels contribute above 1e-16 relative
-    coeff = (c + 1.0 - theta) / theta
-    inv_l2 = 1.0 / (lam * T) ** delta
-
-    def rel_weight(m):
-        # weight of level m divided by the level-1 weight; equals 1 at
-        # m = 1 and underflows cleanly to 0 as the levels shrink
-        inv = 1.0 / (lam**m * T) ** delta
-        return np.exp(coeff * (inv_l2 - inv))
-
-    acc = 0.0
-    prev = 1.0
-    n_terms = 0
-    while n_terms < 100000:
-        nxt = rel_weight(n_terms + 2)
-        term = prev - nxt
-        acc += term
-        n_terms += 1
-        prev = nxt
-        if term <= 1e-16 * acc:
-            break
-
-    log_series = np.log(c) / theta + coeff * inv_l2 + np.log(acc)
     with np.errstate(over="ignore"):
         closed = float(np.exp(log_closed))
-        series = float(np.exp(log_series))
     return TelescopeReport(
         lambda_=float(lam),
         closed_form=closed,
-        series_value=series,
         log_closed_form=float(log_closed),
-        log_series_value=float(log_series),
-        n_terms=n_terms,
     )
 
 
@@ -590,7 +554,6 @@ def _worst_log_ratio(pairs: _Pairs, theta: float) -> np.ndarray:
     over members of fl(X - L) is fl(X - max L), so it returns the same
     constant from these targets as from every member's pairs.  Members are
     folded in one at a time, and no array holds a value per member and pair.
-    theta = 0 gives 2*(log l2_j - log l2_i) exactly.
     """
     worst = np.full(len(pairs.q), -np.inf)
     ratio = np.empty_like(worst)
@@ -630,12 +593,16 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     delta = traj.s - 1.0
     t_cap = min(total_time, 1.0)
 
-    sup_a = max(float(np.max(np.abs(a.sample(t)))) for t in traj.times)
     l2, l2e = traj.diagnostics["l2"], traj.diagnostics["l2_on_E"]
     masses = np.array([float(np.trapezoid(row**2, traj.times)) for row in l2e])
     ratios = [float(row[-1] ** 2 / mass) if mass else np.inf for row, mass in zip(l2, masses)]
     pairs = _interp_pairs(traj.times, l2, l2e, t_cap, delta)
-    energy_max = max(1.0, float(np.exp(np.max(_worst_log_ratio(pairs, 0.0))))) if pairs.count else 1.0
+    inside = (traj.times > 0) & (traj.times <= t_cap + 1e-12)
+    # a zero member's log l2 is -inf and its growth NaN; it is never live
+    with np.errstate(invalid="ignore"):
+        _, growth = _log_growth(l2[:, inside], traj.times[inside], 0.0)
+    growth = growth[pairs.live[:, 1:]]
+    energy_max = max(1.0, float(np.exp(np.max(growth)))) if growth.size else 1.0
     degenerate = [int(i) for i in np.flatnonzero((masses == 0) | (pairs.skipped > 0))]
 
     c_interp = smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, theta))
@@ -643,7 +610,7 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     lift = spacetime_lift(c_premise, delta, theta, gap_range=(1e-6, t_cap))
     tele = telescope_constant(lift.absorbed_constant, theta, delta, t_cap)
     if total_time > 1.0:
-        energy_factor = float(np.exp(2.0 * sup_a * (total_time - 1.0)))
+        energy_factor = float(np.exp(2.0 * _sup_coeff(a, traj.times) * (total_time - 1.0)))
     else:
         energy_factor = 1.0
     log_bound = tele.log_closed_form + np.log(energy_factor)

@@ -286,6 +286,21 @@ class CertificateReport:
     worst_pair: tuple
 
 
+def _sup_coeff(a, times) -> float:
+    """The largest |a(t, x)| over the grid at the given times."""
+    return max(float(np.max(np.abs(a.sample(t)))) for t in times)
+
+
+def _log_growth(l2, times, rate: float) -> tuple:
+    """g = 2*log(l2) - 2*rate*t at each record, and for each record j > 0
+    the largest growth max over i < j of g_j - g_i, which is
+    2*log(l2_j/l2_i) - 2*rate*(t_j - t_i), from the prefix minimum of g.
+    The last axis runs over the records."""
+    with np.errstate(divide="ignore"):
+        g = 2.0 * np.log(l2) - 2.0 * rate * times
+    return g, g[..., 1:] - np.minimum.accumulate(g, axis=-1)[..., :-1]
+
+
 def energy_certificate(traj: Trajectory, a) -> CertificateReport:
     """Check the growth bound ||u(t2)||^2 <= e^{2*A*(t2-t1)} ||u(t1)||^2.
 
@@ -297,12 +312,8 @@ def energy_certificate(traj: Trajectory, a) -> CertificateReport:
     if traj.diagnostics["l2"].ndim != 1:
         n = len(traj.diagnostics["l2"])
         raise ValueError(f"energy_certificate takes one trajectory, got a batch of {n}")
-    sup_a = max(float(np.max(np.abs(a.sample(t)))) for t in traj.times)
-    l2 = traj.diagnostics["l2"]
-    with np.errstate(divide="ignore"):
-        g = 2.0 * np.log(l2) - 2.0 * sup_a * traj.times
-    prefix_min = np.minimum.accumulate(g)
-    excess = g[1:] - prefix_min[:-1]
+    sup_a = _sup_coeff(a, traj.times)
+    g, excess = _log_growth(traj.diagnostics["l2"], traj.times, sup_a)
     worst_idx = int(np.argmax(excess)) if len(excess) else 0
     worst = float(excess[worst_idx]) if len(excess) else -np.inf
     j = worst_idx + 1

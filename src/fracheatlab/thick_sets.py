@@ -12,9 +12,7 @@ keeps the translate scan exact and the wraparound unambiguous.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,12 +23,8 @@ __all__ = [
     "ThickSet",
     "thickness",
     "build_set",
-    "save_bitmask",
-    "load_bitmask",
     "SET_BUILDERS",
 ]
-
-_MAGIC = b"FHL1"
 
 
 def _cells_per_side(grid: GridSpec, scale: float) -> int:
@@ -173,44 +167,3 @@ def build_set(kind: str, grid: GridSpec, scale: float, **params) -> ThickSet:
         ) from None
     indicator = builder(grid, scale, **params)
     return ThickSet.from_indicator(grid, indicator, scale)
-
-
-def save_bitmask(path, ts: ThickSet) -> None:
-    """Write the indicator as a packed bitmask.
-
-    Layout: magic 'FHL1', uint8 dim, uint32 points per axis, float64 period,
-    float64 cube scale, then the row-major indicator packed 1 bit per cell
-    (little-endian fields, most significant bit first inside each byte as
-    produced by numpy packbits).
-    """
-    grid = ts.grid
-    header = _MAGIC + struct.pack(
-        "<BIdd", grid.dim, grid.n, grid.period, ts.scale
-    )
-    payload = np.packbits(ts.indicator.ravel(order="C")).tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_bitmask(path, grid: GridSpec) -> ThickSet:
-    """Read a packed bitmask and re-certify it on the given grid."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a bitmask set file")
-    if len(raw) < 25:
-        raise ValueError(f"{path}: bitmask header is {len(raw)} bytes, expected 25")
-    dim, n, period, scale = struct.unpack("<BIdd", raw[4:25])
-    if (dim, n) != (grid.dim, grid.n) or abs(period - grid.period) > 1e-12 * period:
-        raise ValueError(
-            f"{path}: stored grid (dim={dim}, n={n}, period={period}) does not "
-            f"match requested grid (dim={grid.dim}, n={grid.n}, period={grid.period})"
-        )
-    cells = n**dim
-    expected = 25 + -(-cells // 8)
-    if len(raw) != expected:
-        raise ValueError(f"{path}: bitmask is {len(raw)} bytes, expected {expected}")
-    bits = np.unpackbits(np.frombuffer(raw[25:], dtype=np.uint8), count=cells).astype(bool)
-    indicator = bits.reshape((n,) * dim)
-    try:
-        return ThickSet.from_indicator(grid, indicator, scale)
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid bitmask header: {exc}") from None

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,8 +227,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 # the six experiments at small sizes, and runs of other shapes between them
 _SMALL_RUNS = [
-    ("simulate", [*FAST_SIM, "--set", "set.kind=periodic_slab", "--set", "output.snapshot=true",
-                  "--set", "output.save_set=true"]),
+    ("simulate", [*FAST_SIM, "--set", "set.kind=periodic_slab", "--set", "output.snapshot=true"]),
     ("ls-scan", ["--set", "grid.n=32", "--set", "ls.band_max=24"]),
     ("interp-scan", FAST_SIM),
     ("observability", FAST_SIM),
@@ -279,20 +279,20 @@ def test_config_file_and_override_precedence(tmp_path):
 
 
 def test_snapshot_and_mask_outputs(tmp_path):
+    # the snapshot is simulate's one optional file; the observation set is
+    # never written
     rc, out = _run(
         tmp_path, "simulate", *FAST_SIM,
-        "--set", "set.kind=periodic_slab",
-        "--set", "output.snapshot=true", "--set", "output.save_set=true",
+        "--set", "set.kind=periodic_slab", "--set", "output.snapshot=true",
     )
     assert rc == 0
-    from fracheatlab.solver import load_snapshot
-    from fracheatlab.thick_sets import load_bitmask
-    from fracheatlab.spectral import GridSpec
-    fld, t = load_snapshot(out / "final_state.snap")
+    fld, t = solver.load_snapshot(out / "final_state.snap")
     assert t == pytest.approx(0.1)
-    g = GridSpec(1, 32, fld.grid.period)
-    mask = load_bitmask(out / "observation_set.mask", g)
-    assert mask.indicator.any()
+    assert fld.grid == GridSpec(1, 32, 2 * np.pi)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.resolved.txt", "final_state.snap", "metadata.json", "summary.txt",
+        "trajectory.csv",
+    ]
 
 
 def test_ls_scan(tmp_path):
@@ -450,6 +450,17 @@ def test_observability_run(tmp_path):
     assert "premise_source = interpolation" in summary
 
 
+def test_observability_past_lambda_round_off_does_not_warn(tmp_path):
+    # a = 20 absorbs a constant near 6e16, where the refinement ratio lambda
+    # rounds to 1.0; the run exits 0 with every warning an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = _run(tmp_path, "observability", "--set", "grid.n=32",
+                       "--set", "coeff.name=constant", "--set", "coeff.value=20.0")
+    assert rc == 0
+    assert "premise_source = energy\n" in (out / "summary.txt").read_text()
+
+
 def test_observability_empty_set_reports_gracefully(tmp_path):
     args = [*FAST_SIM, "--set", "set.fraction=0.0"]
     rc, out = _run(tmp_path, "observability", *args)
@@ -531,6 +542,7 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "run_all", no_work)
     for key, argv in (
         ("acceptance.typo", ["simulate", "--set", "acceptance.typo=1"]),
+        ("output.save_set", ["simulate", "--set", "output.save_set=true"]),
         ("dynamics.T", ["observability", "--set", "dynamics.T=0.0"]),
         ("dynamics.dt", ["simulate", "--set", "dynamics.dt=0"]),
         ("dynamics.dt", ["ls-scan", "--set", "dynamics.dt=-5"]),
@@ -600,13 +612,13 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
 # config_hash of each experiment's default config: a default given to the
 # wrong experiment changes one
 _DEFAULT_HASHES = {
-    "simulate": "8c252cf9d8cb74b1c548d60162b3d490262b0c6e0d4e2afc60f43a25ec8fd5b5",
-    "ls-scan": "ddf4aa6d8a9f929897b5827f928a7c46ba0de94d2a1bb1a8e7ad5bef7480640e",
-    "interp-scan": "e21bc663270b44907d80c8bdd839481d911d55f68f396031afc21979d40aebaf",
-    "observability": "cb7a3f8df9b85e41d528bcf3a1cfb85021e59bda3137fc2e7a617aa5bbcac0fd",
-    "radius-track": "67473c008d6a07cc8145cba45395422fcf333d434ee47edd7331d3a02b8f1c86",
-    "class-verify": "f2ccb2bb94f8974221a8198429593d603f628089024e2b7d6eb1926119a15895",
-    "assert-suite": "b7d327f45a0057e6841e18841fc031f0b4c49ccb633d3235bb8aa411fd1bd20e",
+    "simulate": "ce73f8830a647a43ae3af4bddd424149608d6b28ef824aa3064b1a64b37f1049",
+    "ls-scan": "3128a581740ca61ea3936b40cef54e422e7b91e2dcc08d527cfbfbe7241b6db3",
+    "interp-scan": "c64d70c78866f22cb41bf032ed47707e61e63322f41cc8f08556dae7f3390a34",
+    "observability": "9b2359cf1e83bfd36673f4497315c613ce1bc06cf5923bcdec6e2a0e9dfebea0",
+    "radius-track": "01d7e75ddbc5974dbf45eecafbe9613921d311c6451bec888aa6290ffd4ec96c",
+    "class-verify": "f5f06834ea95b2e8850433d3f8c0e51c535c4b1c0bba508cd31171d3de4648f6",
+    "assert-suite": "4b2d3416b405f4105ba68bbbafc4562fdda2b81a0517a99b137aa687b2f9d344",
 }
 
 

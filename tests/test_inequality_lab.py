@@ -22,6 +22,7 @@ from fracheatlab.rng import make_generator
 from fracheatlab.thick_sets import ThickSet, build_set
 from fracheatlab.coefficients import builtin_coefficient
 from fracheatlab.solver import simulate
+from fracheatlab.acceptance import _telescope_series
 from fracheatlab.inequality_lab import (
     ThinSetError,
     InsufficientDecayError,
@@ -487,11 +488,13 @@ def test_telescope_pinned_values():
     """C = 1, theta = 1/2, delta = 1, T = 1 gives lambda = 3/4 and the
     closed form e^4 on the nose."""
     rep = telescope_constant(1.0, 0.5, 1.0, 1.0)
+    log_series, n_terms = _telescope_series(1.0, 0.5, 1.0, 1.0, rep.lambda_)
+    series_value = np.exp(log_series)
     assert rep.lambda_ == pytest.approx(0.75, abs=1e-15)
     assert rep.closed_form == pytest.approx(np.exp(4.0), rel=1e-12)
-    assert rep.series_value <= rep.closed_form * (1.0 + 1e-12)
-    assert rep.series_value == pytest.approx(rep.closed_form, rel=1e-10)
-    assert rep.n_terms < 200
+    assert series_value <= rep.closed_form * (1.0 + 1e-12)
+    assert series_value == pytest.approx(rep.closed_form, rel=1e-10)
+    assert n_terms < 200
     assert rep.log_closed_form == pytest.approx(4.0, abs=1e-12)
 
 
@@ -503,8 +506,9 @@ def test_telescope_series_never_exceeds_closed_form():
         delta = float(rng.uniform(0.25, 1.5))
         T = float(rng.uniform(0.05, 1.0))
         rep = telescope_constant(c, theta, delta, T)
-        assert rep.log_series_value <= rep.log_closed_form + 1e-10
-        assert rep.log_series_value == pytest.approx(rep.log_closed_form, abs=5e-9)
+        log_series, _ = _telescope_series(c, theta, delta, T, rep.lambda_)
+        assert log_series <= rep.log_closed_form + 1e-10
+        assert log_series == pytest.approx(rep.log_closed_form, abs=5e-9)
         assert 0.0 < rep.lambda_ < 1.0
     with pytest.raises(ValueError):
         telescope_constant(0.5, 0.5, 1.0, 1.0)
@@ -623,6 +627,36 @@ def test_observability_dead_member_adds_no_pairs():
     # a run recorded without an observation set has no observed norms
     with pytest.raises(ValueError, match="observation set"):
         observability_experiment(simulate(live, a, 1.5, 0.5, 0.01, record_every=2), a)
+
+
+@pytest.mark.parametrize("case", ["dead-member", "decaying-members", "constant-20"])
+def test_observability_energy_growth_matches_the_pair_fold(case):
+    # the oracle is the O(R^2) fold over every pair of records inside (0, 1]
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=0.5)
+    batch = _decay_batch(g, 2)
+    if case == "dead-member":
+        u0, u1 = batch.coeffs
+        batch = SpectralField(g, np.stack([u0, np.zeros_like(u0), u1]))
+    elif case == "decaying-members":
+        batch = SpectralField(g, np.stack([single_mode(g, (m,)).coeffs for m in (5, 7)]))
+    else:
+        a = builtin_coefficient("constant", g, value=20.0)
+    traj = simulate(batch, a, 1.5, 1.0, 0.01, record_every=2, obs_set=obs)
+    rep = observability_experiment(traj, a)
+    pairs = _interp_pairs(traj.times, traj.diagnostics["l2"], traj.diagnostics["l2_on_E"],
+                          1.0, 0.5)
+    energy = max(1.0, float(np.exp(np.max(_worst_log_ratio(pairs, 0.0)))))
+    c_interp = smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, 0.5))
+    assert rep.premise_constant == max(c_interp, energy)
+    assert rep.premise_source == ("interpolation" if c_interp >= energy else "energy")
+    if case == "dead-member":
+        assert rep.degenerate_members == (1,)
+    elif case == "decaying-members":
+        assert np.all(np.diff(traj.diagnostics["l2"], axis=1) < 0) and energy == 1.0
+    else:
+        assert rep.premise_source == "energy" and rep.premise_constant == energy > 1e16
 
 
 def test_observability_refuses_a_single_run():

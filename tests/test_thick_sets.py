@@ -1,16 +1,12 @@
-"""Observation sets: thickness scans, builders, and the bitmask format.
+"""Observation sets: thickness scans and builders.
 
 The thickness routine is checked against a direct translate-by-translate
 scan written with plain python loops, which is slow but has no shared code
 with the windowed cumulative-sum implementation.
 """
 
-import re
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from fracheatlab.spectral import GridSpec
 from fracheatlab.rng import make_generator
@@ -18,8 +14,6 @@ from fracheatlab.thick_sets import (
     ThickSet,
     thickness,
     build_set,
-    save_bitmask,
-    load_bitmask,
     SET_BUILDERS,
 )
 
@@ -184,96 +178,6 @@ def test_registry_is_complete():
     assert set(SET_BUILDERS) == {
         "periodic_slab", "random_per_cell", "complement_of_ball", "full",
     }
-
-
-def test_bitmask_roundtrip(tmp_path):
-    g = GridSpec(2, 16, 2 * np.pi)
-    rng = make_generator(304, "mask")
-    ind = rng.random((16, 16)) < 0.5
-    ts = ThickSet.from_indicator(g, ind, scale=np.pi / 2)
-    path = tmp_path / "set.mask"
-    save_bitmask(path, ts)
-    back = load_bitmask(path, g)
-    assert np.array_equal(back.indicator, ts.indicator)
-    assert back.scale == ts.scale
-    assert back.gamma == pytest.approx(ts.gamma, abs=1e-15)
-    # the header encodes the grid; a mismatched reader must refuse
-    with pytest.raises(ValueError):
-        load_bitmask(path, GridSpec(2, 32, 2 * np.pi))
-    path2 = tmp_path / "junk.mask"
-    path2.write_bytes(b"NOPE" + bytes(32))
-    with pytest.raises(ValueError):
-        load_bitmask(path2, g)
-
-
-def test_bitmask_rejects_wrong_payload_length(tmp_path):
-    # a full 2D n=8 set is 8 payload bytes; cut by 4 it once loaded as a
-    # half-empty set with gamma = 0
-    g = GridSpec(2, 8, 2 * np.pi)
-    path = tmp_path / "full.mask"
-    save_bitmask(path, build_set("full", g, scale=np.pi / 2))
-    raw = path.read_bytes()
-    assert len(raw) == 25 + 8
-    for label, data in (
-        ("truncated", raw[:-4]),
-        ("one byte short", raw[:-1]),
-        ("extended", raw + b"\xff"),
-        ("header only", raw[:25]),
-        ("short header", raw[:20]),
-    ):
-        bad = tmp_path / f"{label}.mask"
-        bad.write_bytes(data)
-        with pytest.raises(ValueError, match=re.escape(bad.name)):
-            load_bitmask(bad, g)
-    # an odd cell count rounds the payload up to whole bytes
-    g1 = GridSpec(1, 10, 1.0)
-    odd = tmp_path / "odd.mask"
-    save_bitmask(odd, build_set("full", g1, scale=0.5))
-    assert len(odd.read_bytes()) == 25 + 2
-    assert load_bitmask(odd, g1).volume_fraction == 1.0
-
-
-def test_bitmask_rejects_bad_scale_naming_the_file(tmp_path):
-    g = GridSpec(1, 16, 1.0)
-    path = tmp_path / "set.mask"
-    save_bitmask(path, build_set("full", g, scale=0.25))
-    raw = path.read_bytes()
-    for label, scale in (("nan", np.nan), ("inf", np.inf), ("negative", -1.0),
-                         ("subnormal", 5e-324), ("huge", 1e308), ("uneven", 0.3)):
-        bad = tmp_path / f"{label}.mask"
-        bad.write_bytes(raw[:17] + struct.pack("<d", scale) + raw[25:])
-        with pytest.raises(ValueError, match=re.escape(bad.name)):
-            load_bitmask(bad, g)
-
-
-def _corrupted(raw: bytes):
-    """Truncations, byte flips and appended bytes of a file's contents."""
-    return st.one_of(
-        st.integers(0, len(raw) - 1).map(lambda i: raw[:i]),
-        st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)).map(
-            lambda f: raw[:f[0]] + bytes([raw[f[0]] ^ f[1]]) + raw[f[0] + 1:]),
-        st.binary(min_size=1, max_size=16).map(lambda extra: raw + extra),
-    )
-
-
-_MASK_GRID = GridSpec(2, 16, 2 * np.pi)
-_MASK_RAW = (
-    b"FHL1" + struct.pack("<BIdd", 2, 16, 2 * np.pi, np.pi / 2)
-    + np.packbits(make_generator(305, "mask-fuzz").random(256) < 0.5).tobytes()
-)
-
-
-@given(_corrupted(_MASK_RAW))
-def test_load_bitmask_corrupted_generated(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("mask") / "set.mask"
-    path.write_bytes(data)
-    try:
-        ts = load_bitmask(path, _MASK_GRID)
-    except ValueError as exc:
-        assert str(path) in str(exc)
-        return
-    assert ts.indicator.shape == _MASK_GRID.shape
-    assert 0.0 <= ts.gamma <= 1.0 and 0.0 < ts.scale <= _MASK_GRID.period
 
 
 def test_indicator_is_frozen():
