@@ -598,9 +598,7 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     ratios = [float(row[-1] ** 2 / mass) if mass else np.inf for row, mass in zip(l2, masses)]
     pairs = _interp_pairs(traj.times, l2, l2e, t_cap, delta)
     inside = (traj.times > 0) & (traj.times <= t_cap + 1e-12)
-    # a zero member's log l2 is -inf and its growth NaN; it is never live
-    with np.errstate(invalid="ignore"):
-        _, growth = _log_growth(l2[:, inside], traj.times[inside], 0.0)
+    _, growth = _log_growth(l2[:, inside], traj.times[inside], 0.0)
     growth = growth[pairs.live[:, 1:]]
     energy_max = max(1.0, float(np.exp(np.max(growth)))) if growth.size else 1.0
     degenerate = [int(i) for i in np.flatnonzero((masses == 0) | (pairs.skipped > 0))]

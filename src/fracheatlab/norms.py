@@ -163,10 +163,14 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
 
     ``alpha`` is one multi-index, giving a float, or an (m, dim) array of
     them, giving an array of m sups computed from a single forward transform
-    with the same arithmetic as m separate calls.  The inverse is separable:
-    the alphas with the same leading components share one partial inverse
-    along the leading axes, and each alpha then takes one inverse along the
-    last axis.
+    with the same arithmetic as m separate calls.  Real samples have a
+    Hermitian spectrum, so the inverse runs on its half along the last axis
+    (complex samples raise ValueError): the alphas with the same leading
+    component share one partial inverse along axis 0, and each alpha takes
+    one real inverse along the last axis.  This is the real part of the full
+    inverse with fftfreq's negative Nyquist k, so axis 0's Nyquist row takes
+    Re((i k_N)^a) in the paired columns and (i k_N)^a in the self-conjugate
+    columns 0 and n/2, whose imaginary part the real inverse drops.
     A sup that is not finite (the order is past the float range on this
     grid) raises FloatingPointError naming the first such multi-index.
     """
@@ -174,8 +178,13 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     alphas = np.atleast_2d(np.asarray(alpha).astype(int))
     if alphas.ndim > 2 or alphas.shape[1] != grid.dim or np.any(alphas < 0):
         raise ValueError(f"alpha must have {grid.dim} nonnegative components, got {alpha}")
-    hat0 = np.fft.fftn(np.asarray(samples, dtype=float))
-    # the leading components of each alpha, none in 1D
+    samples = np.asarray(samples)
+    if np.iscomplexobj(samples):
+        raise ValueError(f"derivative_sup takes real samples, got dtype {samples.dtype}")
+    nyq = grid.n // 2
+    hat0 = np.fft.fftn(np.asarray(samples, dtype=float))[..., : nyq + 1]
+    k_last = grid.k_axes[-1][..., : nyq + 1]
+    # the leading component of each alpha in 2D, none in 1D
     leads, group = np.unique(alphas[:, :-1], axis=0, return_inverse=True)
     group = group.ravel()
     sups = np.empty(len(alphas))
@@ -183,14 +192,17 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     # peak RSS of a 2D n=256 class-verify by about 15%
     for g, lead in enumerate(leads):
         part = hat0
-        for axis, a in enumerate(lead):
-            part = np.fft.ifftn(part * (1j * grid.k_axes[axis]) ** a if a else part, axes=(axis,))
+        for a in lead:
+            mult = (1j * grid.k_axes[0]) ** a
+            part = hat0 * mult
+            part[nyq, 1:-1] = hat0[nyq, 1:-1] * mult[nyq].real
+            part = np.fft.ifftn(part, axes=(0,))
         for i in np.flatnonzero(group == g):
             b = alphas[i, -1]
             # deriv stays bound until the next transform is allocated; freeing
             # it first lets malloc hand its pages back, and refaulting them
             # made 2D n=256 sups about 25% slower
-            deriv = np.fft.ifftn(part * (1j * grid.k_axes[-1]) ** b if b else part, axes=(-1,)).real
+            deriv = np.fft.irfft(part * (1j * k_last) ** b if b else part, n=grid.n, axis=-1)
             sups[i] = np.max(np.abs(deriv))
     bad = np.flatnonzero(~np.isfinite(sups))
     if len(bad):

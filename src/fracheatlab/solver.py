@@ -295,10 +295,13 @@ def _log_growth(l2, times, rate: float) -> tuple:
     """g = 2*log(l2) - 2*rate*t at each record, and for each record j > 0
     the largest growth max over i < j of g_j - g_i, which is
     2*log(l2_j/l2_i) - 2*rate*(t_j - t_i), from the prefix minimum of g.
-    The last axis runs over the records."""
+    A zero record j has growth -inf; a nonzero one after a zero record has
+    growth +inf.  The last axis runs over the records."""
     with np.errstate(divide="ignore"):
         g = 2.0 * np.log(l2) - 2.0 * rate * times
-    return g, g[..., 1:] - np.minimum.accumulate(g, axis=-1)[..., :-1]
+    later = g[..., 1:]
+    return g, np.subtract(later, np.minimum.accumulate(g, axis=-1)[..., :-1],
+                          out=np.full_like(later, -np.inf), where=later > -np.inf)
 
 
 def energy_certificate(traj: Trajectory, a) -> CertificateReport:

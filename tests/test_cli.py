@@ -815,6 +815,20 @@ def test_budgets_past_the_float_range_are_counted_unchecked(tmp_path):
     assert "passed = true" in summary and "unchecked = 4039" in summary
 
 
+def test_zero_trajectory_passes_its_certificate_with_no_warning(tmp_path):
+    code = "import sys; from fracheatlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["simulate", "--set", "grid.n=32", "--set", "init.kind=mode",
+            "--set", "init.amplitude=0.0", "--assert", "--output", str(tmp_path)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "energy_certificate_passed = true" in summary
+    assert "energy_certificate_worst_excess = -1.0" in summary
+
+
 def _lying_coefficient(name, grid, **kwargs):
     # its first derivative already has sup 4 > C/R = 0.5
     samples = np.cos(4 * grid.x_axes[0])

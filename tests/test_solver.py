@@ -10,6 +10,7 @@ acceptance suite repeats them on the contract grid).
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ def test_energy_certificate_accepts_and_rejects():
     assert bad.worst_excess > 0.0
     t1, t2 = bad.worst_pair
     assert t1 < t2
+
+
+def test_energy_certificate_zero_run_passes_and_energy_from_zero_fails():
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    traj = simulate(SpectralField(g, np.zeros(32, dtype=complex)), a, 1.5, 0.1, 0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = energy_certificate(traj, a)
+        assert rep.passed and rep.worst_excess == -1.0
+        assert rep.worst_pair == (0.0, float(traj.times[1]))
+        # energy from nothing is a violation, however small
+        traj.diagnostics["l2"][-1] = 1e-300
+        bad = energy_certificate(traj, a)
+    assert not bad.passed and bad.worst_excess == np.inf
+    assert bad.worst_pair == (0.0, float(traj.times[-1]))
 
 
 def test_energy_certificate_refuses_a_batch():
