@@ -594,7 +594,7 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     t_cap = min(total_time, 1.0)
 
     l2, l2e = traj.diagnostics["l2"], traj.diagnostics["l2_on_E"]
-    masses = np.array([float(np.trapezoid(row**2, traj.times)) for row in l2e])
+    masses = np.trapezoid(l2e**2, traj.times, axis=-1)
     ratios = [float(row[-1] ** 2 / mass) if mass else np.inf for row, mass in zip(l2, masses)]
     pairs = _interp_pairs(traj.times, l2, l2e, t_cap, delta)
     inside = (traj.times > 0) & (traj.times <= t_cap + 1e-12)

@@ -71,14 +71,6 @@ class ExpLogLogWeight:
         return self.c * k_mag * np.log(np.e + k_mag) ** (1.0 - self.kappa)
 
 
-def _per_member(field: SpectralField, arrays, reduce):
-    """reduce of each member's array, a float for a single field; one call per
-    member, since one reduction over the whole batch rounds differently."""
-    if not field.batched:
-        return float(reduce(arrays))
-    return np.array([reduce(a) for a in arrays])
-
-
 def l2_norm(field: SpectralField):
     """L2(torus) norm; equals the Euclidean norm of the coefficients.  A
     batch gives one norm per member."""
@@ -222,7 +214,8 @@ def restricted_l2(field: SpectralField, obs):
     ``obs`` is a boolean indicator array on the grid or any object exposing
     one through an ``indicator`` attribute.  Never exceeds l2_norm(field)
     because the discrete Plancherel identity is exact.  A batch gives one
-    norm per member from a single inverse transform of the whole batch.
+    norm per member from one inverse transform and one reduction of the
+    whole batch, bit-identical to a call per member.
     """
     ind = _indicator_of(obs)
     grid = field.grid
@@ -230,5 +223,9 @@ def restricted_l2(field: SpectralField, obs):
         raise ValueError(
             f"indicator shape {ind.shape} does not match grid shape {grid.shape}"
         )
-    sq = np.abs(inverse(field)[..., ind]) ** 2
-    return _per_member(field, sq, lambda v: np.sqrt(np.sum(v) * grid.cell_volume))
+    # np.take keeps the gathered rows C-ordered, so each row sums pairwise
+    # as np.sum of one member does; the boolean gather x[..., ind] comes
+    # back F-ordered and its row sums run sequentially, rounding differently
+    on_set = np.take(inverse(field).reshape(-1, ind.size), np.flatnonzero(ind), axis=-1)
+    norms = np.sqrt(np.sum(np.abs(on_set) ** 2, axis=-1) * grid.cell_volume)
+    return norms if field.batched else float(norms[0])

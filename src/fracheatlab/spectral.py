@@ -179,10 +179,12 @@ def transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
 
 def inverse(field: SpectralField) -> np.ndarray:
     """Physical samples of a SpectralField (complex array; take .real for
-    fields known to be real), one array per member for a batch."""
+    fields known to be real), one array per member for a batch; the batch
+    takes one transform, scaled in place."""
     grid = field.grid
-    scale = grid.n**grid.dim / grid.period ** (grid.dim / 2.0)
-    return np.fft.ifftn(field.coeffs, axes=grid.axes) * scale
+    phys = np.fft.ifftn(field.coeffs, s=grid.shape, axes=grid.axes)
+    phys *= grid.n**grid.dim / grid.period ** (grid.dim / 2.0)
+    return phys
 
 
 def semigroup_apply(field: SpectralField, s: float, t: float) -> SpectralField:

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracheatlab.spectral import GridSpec, SpectralField, transform
+from fracheatlab.spectral import GridSpec, SpectralField, inverse, transform
 from fracheatlab.ensembles import random_band_limited, single_mode
 from fracheatlab.rng import make_generator
 from fracheatlab.norms import (
@@ -348,6 +348,42 @@ def test_restricted_l2_batch_equals_member_calls():
         assert 0.0 < want[1] and want[2] < 1e-13 * l2_norm(batch)[2]
         with pytest.raises(ValueError, match="indicator shape"):
             restricted_l2(batch, np.ones(8, dtype=bool))
+
+
+def _restricted_l2_reference(field, ind):
+    """The per-member loop: one inverse per member, the boolean gather, and
+    np.sum of each member's squares."""
+    grid = field.grid
+
+    def one(coeffs):
+        sq = np.abs(inverse(SpectralField(grid, coeffs))[ind]) ** 2
+        return float(np.sqrt(np.sum(sq) * grid.cell_volume))
+
+    return one(field.coeffs) if not field.batched else [one(c) for c in field.coeffs]
+
+
+@pytest.mark.parametrize("members", [None, 1, 3, 40])
+@pytest.mark.parametrize("kind", ["empty", "random", "full"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_restricted_l2_equals_per_member_reference(dim, kind, members):
+    # the batch's one reduction must gather the set C-ordered: each row then
+    # sums pairwise like np.sum of one member, while the F-ordered result of
+    # a boolean gather x[..., ind] sums each row sequentially and differs
+    # from the reference in the last bits
+    g = GridSpec(dim, 32 if dim == 1 else 16, 2 * np.pi)
+    rng = make_generator(615, f"reference-{kind}", dim)
+    ind = {"empty": np.zeros(g.shape, dtype=bool), "full": np.ones(g.shape, dtype=bool),
+           "random": rng.random(g.shape) < 0.4}[kind]
+    shape = g.shape if members is None else (members, *g.shape)
+    field = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got = restricted_l2(field, ind)
+    want = _restricted_l2_reference(field, ind)
+    if members is None:
+        assert type(got) is float and got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+    if kind == "empty":
+        assert not np.any(got)
 
 
 def test_weighted_fourier_norm_refuses_a_batch():

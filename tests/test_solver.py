@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from fracheatlab import norms, solver
 from fracheatlab.spectral import GridSpec, SpectralField, transform, semigroup_apply
 from fracheatlab.ensembles import make_ensemble, random_band_limited, single_mode
-from fracheatlab.norms import l2_norm
+from fracheatlab.norms import l2_norm, restricted_l2
 from fracheatlab.rng import make_generator
 from fracheatlab.coefficients import CoefficientField, builtin_coefficient
 from fracheatlab.solver import (
@@ -395,8 +395,8 @@ def test_phi_weights_built_once_per_step_size(monkeypatch):
 
 
 def test_batched_records_take_one_transform_each(monkeypatch):
-    # one diagnostic call, and so one inverse transform, per recorded time
-    # for the whole batch, not one per member
+    # one diagnostic call, and so one inverse transform, per block of
+    # recorded states for the whole batch, not one per record or member
     calls = {"l2_norm": 0, "restricted_l2": 0, "inverse": 0}
 
     def counting(name, fn):
@@ -412,10 +412,63 @@ def test_batched_records_take_one_transform_each(monkeypatch):
     ind = np.zeros(32, dtype=bool)
     ind[:12] = True
     u0 = make_ensemble(g, 5, seed=53)
+    monkeypatch.setattr(solver, "_RECORD_BLOCK_BYTES", 4 * u0.coeffs.nbytes)
     traj = simulate(u0, a, 1.5, 0.2, 0.02, record_every=2, obs_set=ind)
     assert len(traj.times) == 6
-    assert calls == {"l2_norm": 6, "restricted_l2": 6, "inverse": 6}
+    assert calls == {"l2_norm": 2, "restricted_l2": 2, "inverse": 2}
     assert traj.diagnostics["l2_on_E"].shape == (5, 6)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_record_blocks_equal_per_record_diagnostics(monkeypatch, dim, batched, block):
+    g = GridSpec(dim, 16, 2 * np.pi)
+    a = builtin_coefficient("time_cosine", g, amplitude=0.5, mode=1, time_freq=2.0)
+    ind = make_generator(54, "block-set", dim).random(g.shape) < 0.4
+    if batched:
+        u0 = make_ensemble(g, 3, seed=54)
+    else:
+        u0 = random_band_limited(g, make_generator(54, "block", dim), band=4.0)
+    monkeypatch.setattr(solver, "_RECORD_BLOCK_BYTES", block * u0.coeffs.nbytes)
+    # dt does not divide T: eleven full steps and a short one, 13 records,
+    # so blocks of 3 leave a last block of one record
+    traj = simulate(u0, a, 1.5, 0.23, 0.02, obs_set=ind)
+    assert len(traj.times) == len(traj.states) == 13 and traj.final_time == 0.23
+    for name, per_record in (("l2", l2_norm), ("l2_on_E", lambda f: restricted_l2(f, ind))):
+        want = np.array([per_record(f) for f in traj.states]).T
+        got = traj.diagnostics[name]
+        assert got.shape == want.shape == ((3, 13) if batched else (13,))
+        assert got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(want))
+    lean = simulate(u0, a, 1.5, 0.23, 0.02, obs_set=ind, store_states=False)
+    for name, values in lean.diagnostics.items():
+        assert np.array_equal(_bits(values), _bits(traj.diagnostics[name]))
+
+
+def test_one_record_block_is_not_stacked(monkeypatch):
+    g = GridSpec(2, 16, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    u0 = make_ensemble(g, 3, seed=55)
+    stacks = []
+    real_stack = np.stack
+
+    def counting_stack(*args, **kwargs):
+        stacks.append(len(args[0]))
+        return real_stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting_stack)
+    monkeypatch.setattr(solver, "_RECORD_BLOCK_BYTES", u0.coeffs.nbytes)
+    simulate(u0, a, 1.5, 0.1, 0.02, obs_set=np.ones(g.shape, dtype=bool))
+    assert stacks == []
+    # six records in blocks of two stack each block once
+    monkeypatch.setattr(solver, "_RECORD_BLOCK_BYTES", 2 * u0.coeffs.nbytes)
+    simulate(u0, a, 1.5, 0.1, 0.02, obs_set=np.ones(g.shape, dtype=bool))
+    assert stacks == [2, 2, 2]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
