@@ -9,7 +9,8 @@ computes:
   written real symmetric on the band's cosine/sine basis in shell order,
   factored by Cholesky and solved by Lanczos on its inverse, plus their
   growth fit in the band radius, which builds and factors the largest
-  band's Gram once: every smaller band's is its leading block;
+  band's Gram once and walks the bands down, shrinking that one factor in
+  place to each smaller band's leading block;
 * analytic-radius estimates from the decay of per-shell spectral maxima;
 * interpolation log-ratios between the full norm, the restricted norm,
   and an earlier norm over pairs of recorded times;
@@ -50,7 +51,7 @@ __all__ = [
 
 _THIN_EIGENVALUE = 1e-13
 # entries per temporary of a Gram build: the Gram is written in column chunks
-_GRAM_CHUNK = 1 << 18
+_GRAM_CHUNK = 1 << 16
 # a radius fit uses the shells whose maximum exceeds this share of the peak
 _DECAY_FLOOR = 1e-13
 # gaps on the geometric grid a space-time lift is dominated on
@@ -110,6 +111,7 @@ def _restriction_gram(obs, band: float) -> np.ndarray:
     # every component in [-n, n), so it sits at flat index d @ weights + offset
     tile = np.tile(g, (2,) * dim)
     re, im = tile.real.ravel(), tile.imag.ravel()
+    del tile
     weights = (2 * n) ** np.arange(dim - 1, -1, -1)
     offset = n * int(weights.sum())
     modes = _band_modes(grid, band)
@@ -161,6 +163,19 @@ def _gram_factor(obs, band: float) -> tuple:
     return lower, len(lower) if info == 0 else info - 1
 
 
+def _shrink(lower: np.ndarray, size: int) -> np.ndarray:
+    """The leading size x size block of the F-ordered square ``lower``,
+    moved in place to the front of its buffer: column j goes from offset
+    j*n to j*size, in increasing j, so no column is overwritten before it
+    is read.  Returns the block as an F-contiguous view of that buffer."""
+    flat = lower.reshape(-1, order="F")
+    n = len(lower)
+    if size < n:
+        for j in range(1, size):
+            flat[j * size:(j + 1) * size] = flat[j * n:j * n + size]
+    return flat[:size * size].reshape((size, size), order="F")
+
+
 def _largest_eigenvalue(apply, size: int) -> float:
     """Largest eigenvalue of the symmetric positive definite operator
     ``apply`` on R^size, by Lanczos with full reorthogonalization (two
@@ -201,17 +216,19 @@ def ls_constant(obs, band: float, factor: tuple | None = None) -> float:
     For every field f with spectrum in |k| <= band,
     ||f||^2 <= C * ||f||^2_E with C the value returned here: the inverse
     smallest eigenvalue of the real symmetric restriction Gram.  The Gram's
-    Cholesky factor is the leading block of ``factor``, the
+    Cholesky factor L is the leading block of ``factor``, the
     ``_gram_factor`` of any band at least this one (this band's own when
-    None), and Lanczos on the inverse Gram (shift-invert at zero) reads the
-    smallest eigenvalue as 1/theta for the largest Ritz value theta, to
-    round-off of order C*eps.  The bound is attained by the eigenvector of
-    that eigenvalue.  Raises ThinSetError when the Gram is not numerically
-    positive definite or the eigenvalue sits below the working-precision
-    floor (the set is too thin at this band).
+    None), copied once when it is larger than the band.  Lanczos on the
+    inverse Gram (shift-invert at zero), applied as two BLAS-2 triangular
+    solves with L and L^T, reads the smallest eigenvalue as 1/theta for the
+    largest Ritz value theta, to round-off of order C*eps.  The bound is
+    attained by the eigenvector of that eigenvalue.  Raises ThinSetError
+    when the Gram is not numerically positive definite or the eigenvalue
+    sits below the working-precision floor (the set is too thin at this
+    band).
     """
     # imported here, its only use, so the CLI starts without it
-    import scipy.linalg
+    from scipy.linalg.blas import dtrsv
     if factor is None:
         factor = _gram_factor(obs, band)
     size = len(_band_modes(obs.grid, band))
@@ -222,10 +239,11 @@ def ls_constant(obs, band: float, factor: tuple | None = None) -> float:
         raise ThinSetError(
             f"set too thin at band {band}: the Gram is not numerically positive definite"
         )
-    # one contiguous copy of the leading block, not one per solve
-    block = (np.asfortranarray(lower[:size, :size]), True)
+    # the block itself when the factor holds just this band, else one copy
+    block = np.asfortranarray(lower[:size, :size])
     lam_min = 1.0 / _largest_eigenvalue(
-        lambda v: scipy.linalg.cho_solve(block, v, check_finite=False), size
+        lambda v: dtrsv(block, dtrsv(block, v, lower=1), lower=1, trans=1, overwrite_x=1),
+        size,
     )
     if lam_min <= _THIN_EIGENVALUE:
         raise ThinSetError(
@@ -256,18 +274,23 @@ def ls_growth_fit(obs, bands) -> LSGrowthReport:
 
     Bands where the set is numerically unobservable are recorded with
     status 'too_thin' and excluded from the fit.  The largest band's Gram
-    is built and factored once; every band reads its leading block.
+    is built and factored once.  The bands are then walked from the largest
+    down, and before each one the factor is shrunk in place to that band's
+    leading block, so no band copies it; ``ls_constant`` solves on the block
+    with BLAS-2 triangular solves.
     """
     bands = np.asarray(sorted(bands), dtype=float)
     constants = np.full(len(bands), np.nan)
-    statuses = []
-    factor = _gram_factor(obs, max(bands, default=0.0))
-    for i, band in enumerate(bands):
+    statuses = [""] * len(bands)
+    lower, factored = _gram_factor(obs, max(bands, default=0.0))
+    gram_modes = len(lower)
+    for i in reversed(range(len(bands))):
+        lower = _shrink(lower, len(_band_modes(obs.grid, bands[i])))
         try:
-            constants[i] = ls_constant(obs, band, factor)
-            statuses.append("ok")
+            constants[i] = ls_constant(obs, bands[i], (lower, factored))
+            statuses[i] = "ok"
         except ThinSetError:
-            statuses.append("too_thin")
+            statuses[i] = "too_thin"
     keep = np.array([s == "ok" for s in statuses])
     if keep.sum() >= 2:
         x, y = bands[keep], np.log(constants[keep])
@@ -283,8 +306,8 @@ def ls_growth_fit(obs, bands) -> LSGrowthReport:
         slope=float(slope),
         intercept=float(intercept),
         residual_rms=rms,
-        gram_modes=len(factor[0]),
-        factored_modes=factor[1],
+        gram_modes=gram_modes,
+        factored_modes=factored,
     )
 
 

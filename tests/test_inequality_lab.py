@@ -31,6 +31,7 @@ from fracheatlab.inequality_lab import (
     _interp_pairs,
     _restriction_gram,
     _shell_maxima,
+    _shrink,
     _worst_log_ratio,
     ls_constant,
     ls_growth_fit,
@@ -321,6 +322,98 @@ def test_ls_growth_fit_takes_unsorted_and_repeated_bands():
     # a factor must hold the band: a smaller band's is refused, not too_thin
     with pytest.raises(ValueError, match="cannot hold"):
         ls_constant(obs, 20.0, _gram_factor(obs, 10.0))
+
+
+def test_shrink_leaves_each_leading_block_in_the_factors_buffer():
+    obs = build_set("periodic_slab", GridSpec(2, 32, 1.0), scale=0.5, fraction=0.5)
+    bands = (48.0, 40.0, 40.0, 24.0, 4.0, 0.0)  # one step of equal size
+    buffer, _ = _gram_factor(obs, bands[0])
+    whole = buffer.copy(order="F")
+    lower = buffer
+    for band in bands:
+        size = len(_band_modes(obs.grid, band))
+        lower = _shrink(lower, size)
+        assert lower.shape == (size, size) and lower.flags.f_contiguous
+        assert np.shares_memory(lower, buffer)
+        assert np.array_equal(lower.view(np.uint64), whole[:size, :size].view(np.uint64)), band
+
+
+@pytest.mark.parametrize("dim, n, period, kind, params, band", [
+    (2, 64, 2 * np.pi, "random_per_cell", {"scale": np.pi / 4, "fraction": 0.3, "seed": 0}, 12.0),
+    (1, 1024, 2 * np.pi, "periodic_slab", {"scale": np.pi / 8, "fraction": 0.25}, 28.0),
+])
+def test_triangular_solves_match_cho_solve(dim, n, period, kind, params, band, monkeypatch):
+    # the inverse-Gram apply ls_constant hands to Lanczos, against LAPACK's
+    import scipy.linalg
+    from fracheatlab import inequality_lab
+    obs = build_set(kind, GridSpec(dim, n, period), **params)
+    largest, applies = inequality_lab._largest_eigenvalue, []
+
+    def capture(apply, size):
+        applies.append(apply)
+        return largest(apply, size)
+
+    monkeypatch.setattr(inequality_lab, "_largest_eigenvalue", capture)
+    ls_constant(obs, band)
+    lower, _ = _gram_factor(obs, band)
+    rng = make_generator(525, "apply")
+    for _ in range(3):
+        v = rng.standard_normal(len(lower))
+        before = v.copy()
+        ref = scipy.linalg.cho_solve((lower, True), v)
+        got = applies[0](v)
+        assert np.array_equal(v, before)  # the Lanczos vector is left alone
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("dim, n, period, kind, params, bands", [
+    # CI's 2D random_per_cell run at n=32
+    (2, 32, 1.0, "random_per_cell", {"scale": 0.5, "fraction": 0.5, "seed": 0},
+     np.arange(0.0, 65.0, 4.0)),
+    # the walk down crosses the four too_thin bands 88-124 first
+    (1, 1024, 2 * np.pi, "periodic_slab", {"scale": np.pi / 8, "fraction": 0.25},
+     np.arange(4.0, 125.0, 12.0)),
+])
+def test_ls_growth_fit_equals_per_band_calls(dim, n, period, kind, params, bands):
+    # the in-place walk down reads the same blocks that per-band calls copy
+    obs = build_set(kind, GridSpec(dim, n, period), **params)
+    rep = ls_growth_fit(obs, bands)
+    factor = _gram_factor(obs, bands[-1])
+    for band, status, c in zip(rep.bands, rep.statuses, rep.constants):
+        try:
+            assert ls_constant(obs, band, factor) == c, band
+            assert status == "ok"
+        except ThinSetError:
+            assert status == "too_thin" and np.isnan(c), band
+        lam = np.linalg.eigvalsh(_restriction_gram(obs, band))[0]
+        assert status == ("ok" if lam > 1e-13 else "too_thin"), band
+    if dim == 1:
+        assert rep.statuses == ("ok",) * 7 + ("too_thin",) * 4
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("periodic_slab", {"scale": np.pi / 2, "fraction": 0.75}),
+    ("random_per_cell", {"scale": np.pi / 4, "fraction": 0.3, "seed": 0}),
+])
+def test_band_scan_allocates_little_past_the_factor(kind, params, monkeypatch):
+    # no band copies its block: the loop's peak is a small share of the Gram
+    from fracheatlab import inequality_lab
+    obs = build_set(kind, GridSpec(2, 32, 2 * np.pi), **params)
+    gram_factor = inequality_lab._gram_factor
+
+    def traced(obs, band):
+        factor = gram_factor(obs, band)
+        tracemalloc.start()
+        return factor
+
+    monkeypatch.setattr(inequality_lab, "_gram_factor", traced)
+    try:
+        rep = ls_growth_fit(obs, [4.0, 6.0, 8.0, 10.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.gram_modes == 317 and rep.statuses == ("ok",) * 4
+    assert peak < 0.2 * rep.gram_modes**2 * 8
 
 
 def _negate(m, n):
