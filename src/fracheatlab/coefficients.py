@@ -157,7 +157,9 @@ def _fourier_decay(
     Phases are drawn from a seeded counter-based generator and conjugate
     symmetrized.  The declared analytic budget uses half the spectral decay
     radius; factorial growth then dominates the actual derivative growth, so
-    the prefactor fitted on low orders stays valid for all higher ones.
+    the prefactor fitted on low orders stays valid for all higher ones.  The
+    fit's sups on |alpha| <= fit_alpha_max stay measured for verify_class,
+    which then measures only the orders above them.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -172,10 +174,33 @@ def _fourier_decay(
     declared_r = radius / 2.0
     alphas = _multi_indices(grid.dim, fit_alpha_max)
     fitted = 0.0
-    for alpha, obs in zip(alphas, derivative_sup(grid, samples, alphas).tolist()):
+    for alpha, obs in zip(alphas, _sups(grid, samples, alphas)):
         fitted = max(fitted, obs * declared_r ** sum(alpha) / _alpha_factorial(alpha))
     info = ClassA1(C=fitted, R=declared_r)
     return CoefficientField(grid, lambda t: samples, info, "fourier_decay")
+
+
+# (grid, a copy of the samples last measured, their sups by multi-index),
+# shared by a fourier_decay fit and the checks of its field; the entry is
+# replaced whole, so its samples and sups always belong together
+_measured: list = [None]
+
+
+def _sups(grid: GridSpec, samples: np.ndarray, alphas) -> list:
+    """derivative_sup of samples at each of alphas, measuring only the
+    multi-indices not yet measured on equal samples over the same grid."""
+    entry = _measured[0]
+    if entry is None or entry[0] != grid or not np.array_equal(samples, entry[1]):
+        # the old copy is dropped before the transforms, not held across them
+        entry = _measured[0] = None
+    sups = {} if entry is None else entry[2]
+    missing = [alpha for alpha in alphas if alpha not in sups]
+    if missing:
+        sups.update(zip(missing, derivative_sup(grid, samples, missing).tolist()))
+    if entry is None:
+        # a copy, in case the evaluator refills one buffer in place
+        _measured[0] = (grid, samples.copy(), sups)
+    return [sups[alpha] for alpha in alphas]
 
 
 BUILTIN_COEFFICIENTS = {
@@ -193,6 +218,7 @@ def builtin_coefficient(name: str, grid: GridSpec, **params) -> CoefficientField
     Known names: zero, constant(value), cosine(amplitude, mode),
     time_cosine(amplitude, mode, time_freq), fourier_decay(radius, seed).
     """
+    _measured[0] = None  # measurements never outlive the field that made them
     try:
         builder = BUILTIN_COEFFICIENTS[name]
     except KeyError:
@@ -229,8 +255,9 @@ def verify_class(
     """Check measured derivative sups against the declared class budget.
 
     Every multi-index with |alpha| <= alpha_max is measured spectrally at
-    each time in t_grid; a time whose samples equal those of the previous
-    time reuses its measurements.  Differentiating sampled data amplifies
+    each time in t_grid, unless it was already measured on samples equal to
+    this time's over the same grid, by the previous time or by the
+    fourier_decay fit of the field.  Differentiating sampled data amplifies
     rounding noise by the axis Nyquist frequency to the power |alpha|, so
     each comparison allows an absolute floor of
     8*n^dim*eps*sup|a|*nyquist^|alpha| on top of the relative tolerance;
@@ -242,18 +269,19 @@ def verify_class(
     """
     if a.class_info is None:
         raise ValueError("coefficient declares no class to verify")
+    if alpha_max < 0:
+        raise ValueError(f"alpha_max must be nonnegative, got {alpha_max}")
+    t_grid = tuple(t_grid)
+    if not t_grid:
+        raise ValueError("t_grid must hold at least one time")
     alphas = _multi_indices(a.grid.dim, alpha_max)
     with np.errstate(over="ignore"):
         bounds = [a.class_info.derivative_bound(alpha) for alpha in alphas]
     unchecked = set()
     rows = []
-    previous = None
     for t in t_grid:
         samples = a.sample(t)
-        if previous is None or not np.array_equal(samples, previous):
-            sups = derivative_sup(a.grid, samples, alphas).tolist()
-            # a copy, in case the evaluator refills one buffer in place
-            previous = samples.copy()
+        sups = _sups(a.grid, samples, alphas)
         sup0 = float(np.max(np.abs(samples)))
         noise_unit = 8.0 * np.finfo(float).eps * a.grid.n**a.grid.dim * sup0
         worst, worst_alpha = 0.0, (0,) * a.grid.dim

@@ -505,6 +505,23 @@ def test_class_verify_rows_match_single_time_checks(tmp_path):
     assert (out / "class_check.csv").read_text().splitlines() == expect
 
 
+def test_class_verify_measures_each_derivative_once_per_run(tmp_path, monkeypatch):
+    """The fourier_decay fit measures every alpha up to order 10 and the
+    check, at four equal times, only the 25 of orders 11 and 12: 91 last-axis
+    inverses per run, and a second run in one process measures afresh."""
+    inverses = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: inverses.append(1) or irfft(*a, **kw))
+    argv = ["--set", "grid.dim=2", "--set", "grid.n=16", "--set", "coeff.name=fourier_decay",
+            "--set", "class.alpha_max=12", "--set", "class.t_values=0,0.5,1,1.5"]
+    for tag in ("first", "second"):
+        inverses.clear()
+        rc, _ = _run(tmp_path, "class-verify", *argv, tag=tag)
+        assert rc == 0 and len(inverses) == 91
+    assert (tmp_path / "first" / "class_check.csv").read_bytes() == (
+        tmp_path / "second" / "class_check.csv").read_bytes()
+
+
 # the work-stage calls of the runners; the config stage runs before any
 _WORK = ("simulate", "ls_growth_fit", "observability_experiment", "verify_class")
 

@@ -148,7 +148,8 @@ def test_verify_class_reuses_identical_samples(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fftn", counting_fftn)
     rep = verify_class(a, alpha_max=6, t_grid=(0.0, 0.5, 1.0, 1.5))
-    assert len(forward) == 1
+    # the fit has measured every alpha up to order 10 on these samples
+    assert len(forward) == 0
     assert rep.rows == tuple((t, expected.worst_ratio, expected.worst_alpha)
                              for t in (0.0, 0.5, 1.0, 1.5))
 
@@ -168,6 +169,29 @@ def test_verify_class_sees_a_buffer_refilled_in_place():
     rep = verify_class(a, alpha_max=4, t_grid=(0.0, 2.0))
     assert rep.rows[0][1] <= 1.0 < rep.rows[1][1]
     assert not rep.passed and rep.worst_t == 2.0
+
+
+def test_verify_class_measures_equal_samples_on_each_grid():
+    """The same sample array on a torus of half the period has derivatives
+    2^|alpha| larger: a check on one grid must not reuse the other's sups."""
+    wide, narrow = GridSpec(1, 64, 2 * np.pi), GridSpec(1, 64, np.pi)
+    samples = np.cos(3 * wide.x_axes[0])
+    info = ClassA2(C=1.0, M=3.0, kappa=0.0)
+    on_wide = CoefficientField(wide, lambda t: samples, info)
+    on_narrow = CoefficientField(narrow, lambda t: samples, info)
+    assert verify_class(on_wide, alpha_max=4).passed
+    rep = verify_class(on_narrow, alpha_max=4)
+    assert not rep.passed and rep.worst_ratio > 8.0
+    assert verify_class(on_wide, alpha_max=4).passed
+
+
+def test_verify_class_validates_its_arguments():
+    g = GridSpec(2, 16, 2 * np.pi)
+    a = builtin_coefficient("fourier_decay", g, radius=1.5, seed=4)
+    with pytest.raises(ValueError, match="alpha_max"):
+        verify_class(a, alpha_max=-1)
+    with pytest.raises(ValueError, match="t_grid"):
+        verify_class(a, t_grid=())
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])
