@@ -23,12 +23,11 @@ number, and builds the experiment's inputs (grid, coefficient, set,
 initial data, bands, times); it fails with a ``ConfigError`` naming the key
 or key group before any work starts.  The work stage is the experiment's
 runner: it returns a ``_Result`` holding what it measured and whether its
-property failed, and writes nothing but ``simulate``'s optional snapshot.
-The output stage in ``main`` writes the files above.  ``main`` alone maps
-outcomes to exit codes: 1 config error, 2 numerical failure (one of
-``_NUMERICAL``, its stage named on stderr), 3 property violation when run
-with ``--assert`` (for ``assert-suite``, always).  Any other exception is a
-bug and propagates.
+property failed, and writes nothing.  The output stage in ``main`` writes
+the files above.  ``main`` alone maps outcomes to exit codes: 1 config
+error, 2 numerical failure (one of ``_NUMERICAL``, its stage named on
+stderr), 3 property violation when run with ``--assert`` (for
+``assert-suite``, always).  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .config import (
 from .spectral import GridSpec
 from .coefficients import BUILTIN_COEFFICIENTS, builtin_coefficient, verify_class
 from .thick_sets import SET_BUILDERS, build_set
-from .solver import IntegrationError, _step_schedule, energy_certificate, save_snapshot, simulate
+from .solver import IntegrationError, _step_schedule, energy_certificate, simulate
 from .ensembles import make_ensemble, random_analytic_decay, random_band_limited, single_mode
 from .rng import make_generator
 from .inequality_lab import (
@@ -90,8 +89,8 @@ _NUMERICAL = {
 }
 
 # the types a value may have, by its key's type; bool is an int subclass,
-# so a bool value is accepted for bool keys only
-_VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+# so a bool value is refused separately
+_VALUE_TYPES = {int: (int,), float: (int, float)}
 # the largest magnitude of a number, by its type: floats are finite and ints
 # fit the 64-bit integers the builders convert them to
 _LIMITS = {int: 2**63 - 1, float: sys.float_info.max}
@@ -152,13 +151,13 @@ _SCHEMA = {
     "set.seed": _Key(int),
     "set.radius": _Key(float),
     "init.kind": _Key(str, "analytic_decay", choices=("mode", "band_limited", "analytic_decay")),
-    "init.radius": _Key(float, 0.5),
-    "init.band": _Key(float, 0.0),
+    "init.radius": _Key(float, 0.5, (0.0, np.inf, True)),
+    # 0 means a quarter of the axis Nyquist frequency
+    "init.band": _Key(float, 0.0, (0.0, np.inf, False)),
     "init.mode": _Key(int, 1),
     "init.amplitude": _Key(float, 1.0),
     "ensemble.count": _Key(int, 4, (1, np.inf, False)),
-    "ensemble.kind": _Key(str, "mixed"),
-    "output.snapshot": _Key(bool, False),
+    "ensemble.kind": _Key(str, "mixed", choices=("mixed", "band_limited", "analytic_decay")),
     "ls.band_min": _Key(float, 0.0, (0.0, np.inf, False), owner="ls-scan"),
     "ls.band_max": _Key(float, 64.0, owner="ls-scan"),
     "ls.band_step": _Key(float, 4.0, (0.0, np.inf, True), owner="ls-scan"),
@@ -192,9 +191,9 @@ def _resolve_config(experiment: str, config_path, sets) -> dict:
         kind, bounds = schema[key].type, schema[key].range
         choices = _for_experiment(schema[key].choices, experiment)
         types = _VALUE_TYPES.get(kind)
-        if types and (isinstance(value, bool) != (bool in types) or not isinstance(value, types)):
+        if types and (isinstance(value, bool) or not isinstance(value, types)):
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-        if types and kind is not bool and not abs(value) <= _LIMITS[type(value)]:
+        if types and not abs(value) <= _LIMITS[type(value)]:
             raise ConfigError(f"{key} must be a finite 64-bit {kind.__name__}, got {value!r}")
         if bounds:
             lo, hi, is_open = bounds
@@ -403,11 +402,9 @@ def _simulate_stage(u0, a, cfg, obs, store_states=False):
     )
 
 
-def run_simulate(cfg, inputs, outdir: Path) -> _Result:
+def run_simulate(cfg, inputs) -> _Result:
     a, obs = inputs["coeff"], inputs["set"]
-    traj = _simulate_stage(inputs["init"], a, cfg, obs, store_states=True)
-    if cfg["output.snapshot"]:
-        save_snapshot(outdir / "final_state.snap", traj.final_state, traj.final_time)
+    traj = _simulate_stage(inputs["init"], a, cfg, obs)
     cert = energy_certificate(traj, a)
     lines = [
         ("final_time", traj.final_time),
@@ -425,7 +422,7 @@ def run_simulate(cfg, inputs, outdir: Path) -> _Result:
     )
 
 
-def run_ls_scan(cfg, inputs, outdir: Path) -> _Result:
+def run_ls_scan(cfg, inputs) -> _Result:
     obs = inputs["set"]
     fit = ls_growth_fit(obs, inputs["ls"])
     rows = zip(fit.bands, fit.constants, fit.statuses)
@@ -468,7 +465,7 @@ def _read_horizon(T: float, dt: float, record_every: int, t_cap: float) -> tuple
     return horizon, j
 
 
-def run_interp_scan(cfg, inputs, outdir: Path) -> _Result:
+def run_interp_scan(cfg, inputs) -> _Result:
     t_cap = min(float(cfg["dynamics.T"]), 1.0)
     delta = float(cfg["dynamics.s"]) - 1.0
     # only records inside (0, t_cap] are read, so the run stops at the last
@@ -517,7 +514,7 @@ def run_interp_scan(cfg, inputs, outdir: Path) -> _Result:
     return _Result("interp_constants.csv", ["theta", "constant", "status"], rows, lines, violation)
 
 
-def run_observability(cfg, inputs, outdir: Path) -> _Result:
+def run_observability(cfg, inputs) -> _Result:
     a = inputs["coeff"]
     traj = _simulate_stage(inputs["ensemble"], a, cfg, inputs["set"])
     rep = observability_experiment(traj, a, theta=float(cfg["obs.theta"]))
@@ -538,7 +535,7 @@ def run_observability(cfg, inputs, outdir: Path) -> _Result:
     )
 
 
-def run_radius_track(cfg, inputs, outdir: Path) -> _Result:
+def run_radius_track(cfg, inputs) -> _Result:
     traj = _simulate_stage(inputs["init"], inputs["coeff"], cfg, None, store_states=True)
     t_min = float(cfg["radius.t_min"])
     rows = []
@@ -562,7 +559,7 @@ def run_radius_track(cfg, inputs, outdir: Path) -> _Result:
     )
 
 
-def run_class_verify(cfg, inputs, outdir: Path) -> _Result:
+def run_class_verify(cfg, inputs) -> _Result:
     a = inputs["coeff"]
     alpha_max = int(cfg["class.alpha_max"])
     rel_tol = float(cfg["class.rel_tol"])
@@ -583,7 +580,7 @@ def run_class_verify(cfg, inputs, outdir: Path) -> _Result:
     )
 
 
-def run_assert_suite(cfg, inputs, outdir: Path) -> _Result:
+def run_assert_suite(cfg, inputs) -> _Result:
     results = acceptance.run_all()
     width = max(len(r.name) for r in results)
     print(f" # {'criterion'.ljust(width)}  status  time")
@@ -656,7 +653,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output dir: {exc}") from exc
         inputs = _build_inputs(args.experiment, cfg)
-        result = _RUNNERS[args.experiment](cfg, inputs, outdir)
+        result = _RUNNERS[args.experiment](cfg, inputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,7 +35,7 @@ def single_mode(grid: GridSpec, m, amplitude: complex = 1.0) -> SpectralField:
         raise ValueError(f"mode must have {grid.dim} components, got {m.shape}")
     half = grid.n // 2
     if np.any(m < -half) or np.any(m >= half):
-        raise ValueError(f"mode {tuple(m)} outside [-n/2, n/2)")
+        raise ValueError(f"mode {tuple(m.tolist())} outside [-n/2, n/2)")
     coeffs = np.zeros(grid.shape, dtype=complex)
     coeffs[tuple(mi % grid.n for mi in m)] = amplitude
     return SpectralField(grid, coeffs)

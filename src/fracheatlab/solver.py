@@ -21,13 +21,11 @@ state it returns.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, _require_single
+from .spectral import GridSpec, SpectralField
 
 __all__ = [
     "IntegrationError",
@@ -36,14 +34,11 @@ __all__ = [
     "simulate",
     "energy_certificate",
     "CertificateReport",
-    "save_snapshot",
-    "load_snapshot",
 ]
 
 _PHI_TAYLOR_CUT = 1e-4
 # the multiplicative slack an energy certificate allows
 _CERT_SLACK = 1e-6
-_SNAP_MAGIC = b"FHS1"
 # simulate's diagnostics run per block of recorded states of at most this
 # many bytes (or one larger state); 4 MB blocks raised the peak RSS of a
 # 16-member recorded run by about 35%
@@ -345,33 +340,3 @@ def energy_certificate(traj: Trajectory, a) -> CertificateReport:
         worst_pair=(float(traj.times[i]), float(traj.times[j])) if len(excess) else (0.0, 0.0),
     )
 
-
-def save_snapshot(path, fld: SpectralField, time: float = 0.0) -> None:
-    """Binary spectral snapshot: magic 'FHS1', uint8 dim, uint32 points per
-    axis, float64 period, float64 time, then row-major complex coefficients
-    as little-endian 8-byte float pairs.  The header has no member count,
-    so a batch is refused."""
-    _require_single(fld, "save_snapshot")
-    grid = fld.grid
-    header = _SNAP_MAGIC + struct.pack("<BIdd", grid.dim, grid.n, grid.period, time)
-    payload = np.ascontiguousarray(fld.coeffs, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_snapshot(path):
-    """Read a snapshot written by save_snapshot; returns (field, time)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _SNAP_MAGIC:
-        raise ValueError(f"{path}: not a spectral snapshot file")
-    if len(raw) < 25:
-        raise ValueError(f"{path}: snapshot header is {len(raw)} bytes, expected 25")
-    dim, n, period, time = struct.unpack("<BIdd", raw[4:25])
-    try:
-        grid = GridSpec(dim=dim, n=n, period=period)
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid snapshot header: {exc}") from None
-    expected = 25 + 16 * n**dim
-    if len(raw) != expected:
-        raise ValueError(f"{path}: snapshot is {len(raw)} bytes, expected {expected}")
-    coeffs = np.frombuffer(raw[25:], dtype="<c16").reshape(grid.shape)
-    return SpectralField(grid, coeffs.astype(complex)), time

@@ -227,7 +227,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 # the six experiments at small sizes, and runs of other shapes between them
 _SMALL_RUNS = [
-    ("simulate", [*FAST_SIM, "--set", "set.kind=periodic_slab", "--set", "output.snapshot=true"]),
+    ("simulate", [*FAST_SIM, "--set", "set.kind=periodic_slab"]),
     ("ls-scan", ["--set", "grid.n=32", "--set", "ls.band_max=24"]),
     ("interp-scan", FAST_SIM),
     ("observability", FAST_SIM),
@@ -238,7 +238,7 @@ _SMALL_RUNS = [
 _OTHER_RUNS = [
     ("simulate", ["--set", "grid.dim=2", "--set", "grid.n=16", "--set", "dynamics.T=0.05",
                   "--set", "dynamics.dt=0.01", "--set", "coeff.name=time_cosine",
-                  "--set", "set.kind=complement_of_ball", "--set", "output.snapshot=true"]),
+                  "--set", "set.kind=complement_of_ball"]),
     ("interp-scan", ["--set", "grid.n=64", "--set", "dynamics.T=0.1", "--set", "dynamics.dt=0.02",
                      "--set", "ensemble.count=3", "--set", "set.kind=random_per_cell"]),
 ]
@@ -279,20 +279,29 @@ def test_config_file_and_override_precedence(tmp_path):
 
 
 def test_snapshot_and_mask_outputs(tmp_path):
-    # the snapshot is simulate's one optional file; the observation set is
-    # never written
-    rc, out = _run(
-        tmp_path, "simulate", *FAST_SIM,
-        "--set", "set.kind=periodic_slab", "--set", "output.snapshot=true",
-    )
+    # neither the final state nor the observation set is ever written:
+    # simulate writes its four standard files and nothing else
+    rc, out = _run(tmp_path, "simulate", *FAST_SIM, "--set", "set.kind=periodic_slab")
     assert rc == 0
-    fld, t = solver.load_snapshot(out / "final_state.snap")
-    assert t == pytest.approx(0.1)
-    assert fld.grid == GridSpec(1, 32, 2 * np.pi)
     assert sorted(p.name for p in out.iterdir()) == [
-        "config.resolved.txt", "final_state.snap", "metadata.json", "summary.txt",
-        "trajectory.csv",
+        "config.resolved.txt", "metadata.json", "summary.txt", "trajectory.csv",
     ]
+
+
+def test_simulate_keeps_no_states(tmp_path, monkeypatch):
+    # simulate reads only the recorded times and diagnostics
+    trajectories = []
+
+    def recorded(*args, **kwargs):
+        trajectories.append(simulate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "simulate", recorded)
+    rc, _ = _run(tmp_path, "simulate", *FAST_SIM)
+    assert rc == 0
+    assert len(trajectories) == 1
+    assert len(trajectories[0].times) == 3
+    assert trajectories[0].states == []
 
 
 def test_ls_scan(tmp_path):
@@ -539,11 +548,10 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     for argv in cases:
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
-    # a value must have its key's default type: ints and bools exactly,
-    # floats as any int or float
+    # a value must have its key's default type: ints exactly, floats as any
+    # int or float, and neither as a bool
     for setting in (
-        "grid.n=32.5", "grid.n=true", "coeff.mode=1.5", "run.seed=1e3",
-        "output.snapshot=no", "output.snapshot=1", "dynamics.T=true",
+        "grid.n=32.5", "grid.n=true", "coeff.mode=1.5", "run.seed=1e3", "dynamics.T=true",
         "coeff.seed=0.5", "set.radius=false",
     ):
         rc = main(["simulate", "--set", setting, "--output", str(tmp_path / "err")])
@@ -560,6 +568,9 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     for key, argv in (
         ("acceptance.typo", ["simulate", "--set", "acceptance.typo=1"]),
         ("output.save_set", ["simulate", "--set", "output.save_set=true"]),
+        ("unknown config key 'output.snapshot'", ["simulate", "--set", "output.snapshot=true"]),
+        ("unknown config key 'output.snapshot'", ["simulate", "--set", "output.snapshot=no"]),
+        ("unknown config key 'output.snapshot'", ["simulate", "--set", "output.snapshot=1"]),
         ("dynamics.T", ["observability", "--set", "dynamics.T=0.0"]),
         ("dynamics.dt", ["simulate", "--set", "dynamics.dt=0"]),
         ("dynamics.dt", ["ls-scan", "--set", "dynamics.dt=-5"]),
@@ -571,18 +582,28 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("coeff.amplitude", ["simulate", "--set", "coeff.amplitude=nan"]),
         ("grid.period", ["simulate", "--set", "grid.period=inf"]),
         ("init.radius", ["simulate", "--set", "init.radius=inf"]),
+        # the init.* and ensemble.* keys are checked by name whether or not
+        # the experiment builds the input that reads them
+        ("init.radius", ["simulate", "--set", "init.kind=mode", "--set", "init.radius=-2"]),
+        ("init.radius", ["ls-scan", "--set", "init.radius=-2"]),
+        ("init.radius", ["interp-scan", "--set", "init.radius=0"]),
+        ("init.band", ["radius-track", "--set", "init.kind=mode", "--set", "init.band=-1"]),
+        ("init.band", ["interp-scan", "--set", "init.band=-1"]),
+        ("ensemble.kind", ["simulate", "--set", "ensemble.kind=bogus"]),
+        ("ensemble.kind", ["ls-scan", "--set", "ensemble.kind=bogus"]),
         ("dynamics.T", ["simulate", "--set", "dynamics.T=inf"]),
         ("dynamics.T", ["simulate", "--set", f"dynamics.T={10**400}"]),
         ("set.scale", ["observability", "--set", "set.scale=inf"]),
         ("interp.cap", ["interp-scan", "--set", "interp.cap=inf"]),
         ("init.mode", ["simulate", "--set", f"init.mode={2**63}"]),
-        ("ensemble.kind", ["simulate", "--set", 'ensemble.kind=a"b']),
+        ("class.t_values", ["class-verify", "--set", 'class.t_values=a"b']),
         ("set.kind", ["interp-scan", "--set", "set.kind=none"]),
         ("grid.", ["simulate", "--set", "grid.n=13"]),
         ("set.", ["observability", "--set", "set.scale=0.0"]),
         ("set.", ["simulate", "--set", "set.kind=complement_of_ball",
                   "--set", "set.radius=1e200"]),
-        ("init.", ["simulate", "--set", "init.kind=mode", "--set", "init.mode=500"]),
+        ("invalid init.* settings: mode (500,) outside [-n/2, n/2)",
+         ["simulate", "--set", "init.kind=mode", "--set", "init.mode=500"]),
         ("ensemble.", ["observability", "--set", "ensemble.kind=uniform"]),
         ("class.t_values", ["class-verify", "--set", "class.t_values=0,inf"]),
         ("class.", ["class-verify", "--set", "class.t_values=0,later"]),
@@ -629,13 +650,13 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
 # config_hash of each experiment's default config: a default given to the
 # wrong experiment changes one
 _DEFAULT_HASHES = {
-    "simulate": "ce73f8830a647a43ae3af4bddd424149608d6b28ef824aa3064b1a64b37f1049",
-    "ls-scan": "3128a581740ca61ea3936b40cef54e422e7b91e2dcc08d527cfbfbe7241b6db3",
-    "interp-scan": "c64d70c78866f22cb41bf032ed47707e61e63322f41cc8f08556dae7f3390a34",
-    "observability": "9b2359cf1e83bfd36673f4497315c613ce1bc06cf5923bcdec6e2a0e9dfebea0",
-    "radius-track": "01d7e75ddbc5974dbf45eecafbe9613921d311c6451bec888aa6290ffd4ec96c",
-    "class-verify": "f5f06834ea95b2e8850433d3f8c0e51c535c4b1c0bba508cd31171d3de4648f6",
-    "assert-suite": "4b2d3416b405f4105ba68bbbafc4562fdda2b81a0517a99b137aa687b2f9d344",
+    "simulate": "ec58191f1ed967ded901f2d01858f124271fcb6c2c43631d095e4676f3feef71",
+    "ls-scan": "43d9b070c309de571ce6c194e7022a2a9a7f59fcf44d96e4d098c4b089c35d8a",
+    "interp-scan": "b3ac8e8b2b9473be48b7d211c09ed9e1572108c28079a51291bbd4772a83ba02",
+    "observability": "190bc79afcc8b972ea0ccded40e7dfc03f36e3fc35d917d13cb2e66b97a432b3",
+    "radius-track": "cd6b271c88395ae80983646fcd76691f7f8199a5fc43033460c01df1a6764bf9",
+    "class-verify": "d7f7a076234ade69655bd9bc758e48f3c264640728941408168cbb9b7809e6ec",
+    "assert-suite": "5d7c94cc39bd8a9f1ca7503eedce7e6372a54979c3759fe62c5e8960cde84959",
 }
 
 

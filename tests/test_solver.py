@@ -7,17 +7,14 @@ convergence-order measurements, which run here at small scale (the
 acceptance suite repeats them on the contract grid).
 """
 
-import re
-import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from fracheatlab import norms, solver
-from fracheatlab.spectral import GridSpec, SpectralField, transform, semigroup_apply
+from fracheatlab.spectral import GridSpec, SpectralField, semigroup_apply
 from fracheatlab.ensembles import make_ensemble, random_band_limited, single_mode
 from fracheatlab.norms import l2_norm, restricted_l2
 from fracheatlab.rng import make_generator
@@ -29,8 +26,6 @@ from fracheatlab.solver import (
     step,
     simulate,
     energy_certificate,
-    save_snapshot,
-    load_snapshot,
 )
 
 
@@ -189,78 +184,6 @@ def test_energy_certificate_refuses_a_batch():
     with pytest.raises(ValueError, match="batch of 3"):
         energy_certificate(traj, a)
     assert energy_certificate(traj.member(1), a).passed
-
-
-def test_snapshot_roundtrip(tmp_path):
-    g = GridSpec(2, 16, 2 * np.pi)
-    rng = make_generator(47, "snap")
-    f = transform(g, rng.standard_normal(g.shape))
-    path = tmp_path / "state.snap"
-    save_snapshot(path, f, time=1.25)
-    back, t = load_snapshot(path)
-    assert t == 1.25
-    assert back.grid == g
-    assert np.array_equal(back.coeffs, f.coeffs)
-    bad = tmp_path / "bad.snap"
-    bad.write_bytes(b"XXXX" + bytes(64))
-    with pytest.raises(ValueError):
-        load_snapshot(bad)
-
-
-def test_snapshot_rejects_wrong_lengths_and_batches(tmp_path):
-    g = GridSpec(1, 8, 2 * np.pi)
-    f = single_mode(g, (1,))
-    path = tmp_path / "state.snap"
-    save_snapshot(path, f)
-    raw = path.read_bytes()
-    assert len(raw) == 25 + 16 * 8
-    for label, data in (
-        ("truncated", raw[:-16]),
-        ("one byte short", raw[:-1]),
-        ("extended", raw + bytes(16)),
-        ("one trailing byte", raw + b"\x00"),
-        ("header only", raw[:25]),
-        ("short header", raw[:12]),
-        ("dim 3", raw[:4] + struct.pack("<BIdd", 3, 8, 2 * np.pi, 0.0) + raw[25:]),
-        ("odd n", raw[:4] + struct.pack("<BIdd", 1, 9, 2 * np.pi, 0.0) + raw[25:]),
-        ("zero period", raw[:4] + struct.pack("<BIdd", 1, 8, 0.0, 0.0) + raw[25:]),
-        ("negative period", raw[:4] + struct.pack("<BIdd", 1, 8, -1.0, 0.0) + raw[25:]),
-        ("infinite period", raw[:4] + struct.pack("<BIdd", 1, 8, np.inf, 0.0) + raw[25:]),
-    ):
-        bad = tmp_path / f"{label}.snap"
-        bad.write_bytes(data)
-        with pytest.raises(ValueError, match=re.escape(bad.name)):
-            load_snapshot(bad)
-    # the header has no member count, so a batch cannot be written
-    batch = SpectralField(g, np.stack([f.coeffs, f.coeffs]))
-    with pytest.raises(ValueError):
-        save_snapshot(tmp_path / "batch.snap", batch)
-
-
-_SNAP_RAW = (
-    b"FHS1" + struct.pack("<BIdd", 1, 8, 2 * np.pi, 0.5)
-    + np.arange(16, dtype="<f8").tobytes()
-)
-
-
-@given(st.one_of(
-    st.integers(0, len(_SNAP_RAW) - 1).map(lambda i: _SNAP_RAW[:i]),
-    st.tuples(st.integers(0, len(_SNAP_RAW) - 1), st.integers(1, 255)).map(
-        lambda f: _SNAP_RAW[:f[0]] + bytes([_SNAP_RAW[f[0]] ^ f[1]]) + _SNAP_RAW[f[0] + 1:]),
-    st.binary(min_size=1, max_size=32).map(lambda extra: _SNAP_RAW + extra),
-))
-def test_load_snapshot_corrupted_generated(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("snap") / "state.snap"
-    path.write_bytes(data)
-    try:
-        fld, t = load_snapshot(path)
-    except ValueError as exc:
-        assert str(path) in str(exc)
-        return
-    # whatever loads is exactly what the file encodes
-    again = path.with_name("again.snap")
-    save_snapshot(again, fld, t)
-    assert again.read_bytes() == data
 
 
 def test_step_argument_validation():
