@@ -175,7 +175,7 @@ def _c5_ls():
     slab = build_set("periodic_slab", grid, scale=0.5, fraction=0.5)
     bands = [float(b) for b in range(0, 65, 4)]
     fit = ls_growth_fit(slab, bands)
-    resolved_b, resolved_c = fit.resolved()
+    _, resolved_c = fit.resolved()
     mono_excess = 0.0
     for i in range(1, len(resolved_c)):
         mono_excess = max(mono_excess, resolved_c[i - 1] / resolved_c[i] - 1.0)

@@ -88,8 +88,7 @@ _NUMERICAL = {
     FloatingPointError: "derivative measurement",
 }
 
-# the types a value may have, by its key's type; bool is an int subclass,
-# so a bool value is refused separately
+# the types a value may have, by its key's type
 _VALUE_TYPES = {int: (int,), float: (int, float)}
 # the largest magnitude of a number, by its type: floats are finite and ints
 # fit the 64-bit integers the builders convert them to
@@ -147,7 +146,7 @@ _SCHEMA = {
                  "interp-scan": _SET_KINDS, "observability": _SET_KINDS},
     ),
     "set.scale": _Key(float, {"*": _TWO_PI / 4.0, "ls-scan": 0.5}),
-    "set.fraction": _Key(float, 0.5),
+    "set.fraction": _Key(float, 0.5, (0.0, 1.0, False)),
     "set.seed": _Key(int),
     "set.radius": _Key(float),
     "init.kind": _Key(str, "analytic_decay", choices=("mode", "band_limited", "analytic_decay")),
@@ -191,7 +190,7 @@ def _resolve_config(experiment: str, config_path, sets) -> dict:
         kind, bounds = schema[key].type, schema[key].range
         choices = _for_experiment(schema[key].choices, experiment)
         types = _VALUE_TYPES.get(kind)
-        if types and (isinstance(value, bool) or not isinstance(value, types)):
+        if types and not isinstance(value, types):
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
         if types and not abs(value) <= _LIMITS[type(value)]:
             raise ConfigError(f"{key} must be a finite 64-bit {kind.__name__}, got {value!r}")
@@ -325,7 +324,8 @@ _INPUTS = {
 def _build_inputs(experiment: str, cfg) -> dict:
     """The grid and the experiment's inputs.  A builder's ValueError, or an
     OverflowError from a setting past the float range, is a config error in
-    the key group that builder reads."""
+    the key group that builder reads.  init.mode must be a mode of the grid
+    whether or not the experiment builds a single mode."""
     group = "grid"
     try:
         inputs = {"grid": _grid_from(cfg)}
@@ -333,6 +333,11 @@ def _build_inputs(experiment: str, cfg) -> dict:
             inputs[group] = _BUILDERS[group](cfg, inputs["grid"])
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {group}.* settings: {exc}") from exc
+    mode, n = cfg["init.mode"], inputs["grid"].n
+    if not -n // 2 <= mode < n // 2:
+        raise ConfigError(
+            f"init.mode {mode!r} is not in [{-n // 2}, {n // 2}) for grid.n = {n}"
+        )
     return inputs
 
 

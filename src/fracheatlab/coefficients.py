@@ -324,7 +324,6 @@ class HsCheckReport:
     base: float
     boundary_value: float
     period: float
-    points: int
 
     @property
     def prefactor(self) -> float:
@@ -365,5 +364,4 @@ def h_s_derivative_check(s: float, alpha_max: int = 8) -> HsCheckReport:
         base=12.0,
         boundary_value=boundary,
         period=period,
-        points=points,
     )

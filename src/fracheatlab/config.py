@@ -2,11 +2,11 @@
 
 Files hold one ``key = value`` assignment per line with ``#`` comments and
 dotted keys for grouping (``grid.n = 128``).  A ``#`` inside double quotes
-belongs to the value.  Values are parsed as bool (``true``/``false``), int,
-float, or string, in that order; strings that would re-parse as something
-else, or that contain ``#``, are serialized with double quotes so a config
-round-trips losslessly.  The canonical serialization (sorted keys)
-feeds a sha256 hash recorded in experiment metadata.
+belongs to the value.  Values are parsed as int, float, or string, in that
+order; strings that would re-parse as something else, or that contain ``#``,
+are serialized with double quotes so a config round-trips losslessly.  The
+canonical serialization (sorted keys) feeds a sha256 hash recorded in
+experiment metadata.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ def parse_value(text: str):
     text = text.strip()
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
     try:
         return int(text)
     except ValueError:
@@ -39,14 +35,14 @@ def parse_value(text: str):
 
 def format_value(value) -> str:
     if isinstance(value, bool):
-        return "true" if value else "false"
+        raise ConfigError(f"bool value {value!r} cannot be serialized")
     if isinstance(value, (int, float)):
         return repr(value)
     text = str(value)
     if "\n" in text or '"' in text:
         raise ConfigError(f"string value {text!r} cannot be serialized")
-    # quote anything that would re-parse as something else (a number, a bool,
-    # stripped text) or be cut at a comment
+    # quote anything that would re-parse as something else (a number, stripped
+    # text) or be cut at a comment
     if parse_value(text) != text or text == "" or "#" in text:
         return f'"{text}"'
     return text

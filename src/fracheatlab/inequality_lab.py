@@ -317,19 +317,17 @@ class RadiusFit:
     status: str
     n_shells: int
     residual_rms: float
-    window: tuple
 
 
 def _shell_maxima(field: SpectralField):
     grid = field.grid
     mags = np.abs(field.coeffs).ravel()
     # lattice radius per coefficient, rounded to integer shells
-    m = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
-    radius = np.rint(np.sqrt(sum(grid.per_axis(m.astype(float) ** 2)))).astype(int).ravel()
+    unit = 2.0 * np.pi / grid.period
+    radius = np.rint(grid.k_mag / unit).astype(int).ravel()
     n_shell = radius.max() + 1
     shell_max = np.zeros(n_shell)
     np.maximum.at(shell_max, radius, mags)
-    unit = 2.0 * np.pi / grid.period
     return np.arange(n_shell) * unit, shell_max
 
 
@@ -368,7 +366,6 @@ def radius_estimate(field: SpectralField, window: tuple | None = None) -> Radius
             status="band_limited",
             n_shells=int(np.count_nonzero(m_w)),
             residual_rms=0.0,
-            window=window,
         )
     floor = _DECAY_FLOOR * peak
     usable = m_w > floor
@@ -386,7 +383,6 @@ def radius_estimate(field: SpectralField, window: tuple | None = None) -> Radius
         status="ok",
         n_shells=int(usable.sum()),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        window=window,
     )
 
 
@@ -473,9 +469,7 @@ def smallest_log_affine_dominator(qs, log_targets) -> float:
 class LiftReport:
     premise_constant: float
     theta: float
-    gap_exponent: float
     absorbed_constant: float
-    gap_range: tuple
 
 
 def spacetime_lift(
@@ -505,15 +499,12 @@ def spacetime_lift(
     return LiftReport(
         premise_constant=c,
         theta=theta,
-        gap_exponent=delta,
         absorbed_constant=float(c0),
-        gap_range=tuple(gap_range),
     )
 
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    total_time: float
     theta: float
     gap_exponent: float
     member_ratios: np.ndarray
@@ -642,7 +633,6 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     empirical = max(finite) if finite else np.inf
     passed = bool(finite) and bool(np.log(empirical) <= log_bound)
     return ObservabilityReport(
-        total_time=float(total_time),
         theta=float(theta),
         gap_exponent=float(delta),
         member_ratios=np.asarray(ratios),

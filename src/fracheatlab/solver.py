@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import norms
 from .spectral import GridSpec, SpectralField
 
 __all__ = [
@@ -173,8 +174,6 @@ class Trajectory:
 
     grid: GridSpec
     s: float
-    scheme: str
-    dt: float
     times: np.ndarray
     states: list
     diagnostics: dict = field(default_factory=dict)
@@ -234,8 +233,6 @@ def simulate(
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
-    from .norms import l2_norm, restricted_l2  # local import avoids a cycle
-
     times, states, pending = [], [], []
     diag: dict = {"l2": []}
     if obs_set is not None:
@@ -246,9 +243,9 @@ def simulate(
             np.stack([f.coeffs for f in pending]).reshape(-1, *u0.grid.shape))
         # one row per record, one column per member of a batch
         shape = (len(pending),) + u0.coeffs.shape[: -u0.grid.dim]
-        diag["l2"].append(np.reshape(l2_norm(block), shape))
+        diag["l2"].append(np.reshape(norms.l2_norm(block), shape))
         if obs_set is not None:
-            diag["l2_on_E"].append(np.reshape(restricted_l2(block, obs_set), shape))
+            diag["l2_on_E"].append(np.reshape(norms.restricted_l2(block, obs_set), shape))
         pending.clear()
 
     def record(t, f):
@@ -282,8 +279,6 @@ def simulate(
     return Trajectory(
         grid=u0.grid,
         s=float(s),
-        scheme=scheme,
-        dt=float(dt),
         times=np.asarray(times, dtype=float),
         states=states,
         diagnostics=rows,

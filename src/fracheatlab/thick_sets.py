@@ -30,37 +30,27 @@ __all__ = [
 def _cells_per_side(grid: GridSpec, scale: float) -> int:
     if not 0.0 < scale <= grid.period:
         raise ValueError(f"cube side must lie in (0, period {grid.period}], got {scale}")
-    # whole cells first: below half a cell, period / scale can overflow
-    m = scale / grid.dx
-    if abs(m - round(m)) > 1e-9 * max(1.0, m) or round(m) < 1:
+    cells = scale / grid.dx
+    m = round(cells)
+    if abs(cells - m) > 1e-9 * max(1.0, cells) or m < 1:
         raise ValueError(
             f"cube side {scale} is not a whole number of grid cells "
             f"(cell size {grid.dx})"
         )
-    ratio = grid.period / scale
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+    if grid.n % m:
         raise ValueError(
             f"cube side {scale} does not divide period {grid.period}; "
             "the translate scan would be inexact"
         )
-    return int(round(m))
+    return m
 
 
 def _circular_window_sum(counts: np.ndarray, m: int, axis: int) -> np.ndarray:
     """Sum over a length-m window starting at each index, wrapped."""
     n = counts.shape[axis]
-    idx = [slice(None)] * counts.ndim
-    idx[axis] = list(range(n)) + list(range(m - 1))
-    padded = counts[tuple(idx)]
-    c = np.cumsum(padded, axis=axis)
-    lead = np.take(c, range(m - 1, n + m - 1), axis=axis)
-    lag = np.zeros_like(lead)
-    tail = [slice(None)] * counts.ndim
-    tail[axis] = slice(0, n - 1)
-    head = [slice(None)] * counts.ndim
-    head[axis] = slice(1, n)
-    lag[tuple(head)] = np.take(c, range(0, n - 1), axis=axis)
-    return lead - lag
+    c = np.cumsum(np.take(counts, range(n + m - 1), axis=axis, mode="wrap"), axis=axis)
+    # c[i] - counts[i] is the sum before index i; int64 keeps every window exact
+    return np.take(c, range(m - 1, n + m - 1), axis=axis) - np.take(c, range(n), axis=axis) + counts
 
 
 def thickness(grid: GridSpec, indicator: np.ndarray, scale: float) -> float:

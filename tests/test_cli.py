@@ -56,28 +56,29 @@ FAST_SIM = [
 
 
 def test_parse_value_priorities():
-    assert parse_value("true") is True
-    assert parse_value("false") is False
     assert parse_value("42") == 42 and isinstance(parse_value("42"), int)
     assert parse_value("4.5e-3") == pytest.approx(0.0045)
     assert parse_value("hello") == "hello"
     # quoting forces string
     assert parse_value('"42"') == "42"
     assert parse_value('"true"') == "true"
+    # no key takes a bool, so true is text
+    assert parse_value("true") == "true" and parse_value("false") == "false"
 
 
 def test_format_parse_roundtrip():
-    values = [True, False, 0, -17, 3.14159, 1e-12, "plain", "128", "true", "", " x "]
+    values = [0, -17, 3.14159, 1e-12, "plain", "128", "true", "", " x "]
     for v in values:
         assert parse_value(format_value(v)) == v
     with pytest.raises(ConfigError):
         format_value('has "quotes"')
     with pytest.raises(ConfigError):
         format_value("two\nlines")
+    with pytest.raises(ConfigError):
+        format_value(True)
 
 
 _config_values = st.one_of(
-    st.booleans(),
     st.integers(min_value=-(10**12), max_value=10**12),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     st.text(
@@ -140,7 +141,6 @@ def test_only_newline_ends_a_config_line():
 
 # every character format_value accepts, line separators other than "\n" included
 _line_values = st.one_of(
-    st.booleans(),
     st.integers(min_value=-(10**12), max_value=10**12),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     st.text(
@@ -165,7 +165,7 @@ def test_canonical_text_roundtrip_generated(cfg):
 
 def test_apply_overrides():
     cfg = apply_overrides({"a": 1}, ["a=2", "b.c=true"])
-    assert cfg == {"a": 2, "b.c": True}
+    assert cfg == {"a": 2, "b.c": "true"}
     with pytest.raises(ConfigError):
         apply_overrides({}, ["novalue"])
     with pytest.raises(ConfigError):
@@ -549,7 +549,7 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
     # a value must have its key's default type: ints exactly, floats as any
-    # int or float, and neither as a bool
+    # int or float, and neither as text such as true
     for setting in (
         "grid.n=32.5", "grid.n=true", "coeff.mode=1.5", "run.seed=1e3", "dynamics.T=true",
         "coeff.seed=0.5", "set.radius=false",
@@ -591,6 +591,15 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("init.band", ["interp-scan", "--set", "init.band=-1"]),
         ("ensemble.kind", ["simulate", "--set", "ensemble.kind=bogus"]),
         ("ensemble.kind", ["ls-scan", "--set", "ensemble.kind=bogus"]),
+        ("set.fraction 5 is not in [0.0, 1.0]", ["simulate", "--set", "set.fraction=5"]),
+        ("set.fraction -1 is not in [0.0, 1.0]", ["radius-track", "--set", "set.fraction=-1"]),
+        ("init.mode 500 is not in [-64, 64) for grid.n = 128",
+         ["simulate", "--set", "init.mode=500"]),
+        ("init.mode 500 is not in [-32, 32) for grid.n = 64",
+         ["ls-scan", "--set", "init.mode=500"]),
+        ("init.mode 64 is not in [-64, 64)", ["interp-scan", "--set", "init.mode=64"]),
+        ("init.mode -9 is not in [-8, 8)", ["radius-track", "--set", "grid.n=16",
+                                            "--set", "init.mode=-9"]),
         ("dynamics.T", ["simulate", "--set", "dynamics.T=inf"]),
         ("dynamics.T", ["simulate", "--set", f"dynamics.T={10**400}"]),
         ("set.scale", ["observability", "--set", "set.scale=inf"]),
@@ -645,6 +654,15 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         rc = main(argv + ["--output", str(tmp_path / "err")])
         assert rc == 1, argv
         assert key in capsys.readouterr().err, argv
+
+
+def test_range_ends_of_unbuilt_keys_are_valid(tmp_path, monkeypatch):
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, _reach)
+    for argv in (["simulate", "--set", "set.fraction=1.0", "--set", "init.mode=-64"],
+                 ["ls-scan", "--set", "set.fraction=0.0", "--set", "init.mode=31"]):
+        with pytest.raises(_Reached):
+            main(argv + ["--output", str(tmp_path / "ok")])
 
 
 # config_hash of each experiment's default config: a default given to the

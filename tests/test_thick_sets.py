@@ -45,7 +45,7 @@ def test_thickness_matches_brute_force_1d():
     for i in range(30):
         rng = make_generator(301, "thick1", i)
         ind = rng.random(16) < 0.4
-        for m in (2, 4, 8):
+        for m in (1, 2, 4, 8, 16):
             got = thickness(g, ind, m * g.dx)
             assert got == pytest.approx(_brute_thickness_1d(ind, m), abs=1e-12)
 
@@ -55,7 +55,7 @@ def test_thickness_matches_brute_force_2d():
     for i in range(10):
         rng = make_generator(302, "thick2", i)
         ind = rng.random((8, 8)) < 0.5
-        for m in (2, 4):
+        for m in (1, 2, 4, 8):
             got = thickness(g, ind, m * g.dx)
             assert got == pytest.approx(_brute_thickness_2d(ind, m), abs=1e-12)
 
@@ -78,6 +78,8 @@ def test_thickness_argument_validation():
     assert thickness(g, ind, 0.25) == 1.0
     with pytest.raises(ValueError):
         thickness(g, ind, 0.3)  # not a whole number of cells
+    with pytest.raises(ValueError, match="does not divide period"):
+        thickness(g, ind, 3 * g.dx)
     with pytest.raises(ValueError):
         thickness(g, ind, 0.0)
     with pytest.raises(ValueError):
