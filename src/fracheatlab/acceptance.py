@@ -112,7 +112,7 @@ def _c2_sandwich():
 
 
 def _c3_solver_order():
-    """First and second order convergence against the constant-a closed form."""
+    """Second order convergence against the constant-a closed form."""
     grid = GridSpec(1, 128, _TWO_PI)
     value = 0.3
     a = builtin_coefficient("constant", grid, value=value)
@@ -121,25 +121,15 @@ def _c3_solver_order():
     dts = [4e-3, 2e-3, 1e-3]
     exact = u0.coeffs * np.exp((value - 1.0) * T)
 
-    results = {}
-    for scheme in ("etd1", "etd2"):
-        errs = []
-        for dt in dts:
-            traj = simulate(u0, a, s, T, dt, scheme=scheme,
-                            record_every=10**9, store_states=True)
-            errs.append(float(np.linalg.norm(traj.final_state.coeffs - exact)))
-        results[scheme] = errs
-    e1, e2 = results["etd1"], results["etd2"]
-    r1 = [e1[0] / e1[1], e1[1] / e1[2]]
-    r2 = [e2[0] / e2[1], e2[1] / e2[2]]
-    ok1 = all(1.8 <= r <= 2.2 for r in r1)
-    ok2 = all(3.6 <= r <= 4.4 for r in r2)
-    ok_final = e2[-1] <= 1e-6
-    passed = ok1 and ok2 and ok_final
+    errs = []
+    for dt in dts:
+        traj = simulate(u0, a, s, T, dt, record_every=10**9, store_states=True)
+        errs.append(float(np.linalg.norm(traj.final_state.coeffs - exact)))
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    passed = all(3.6 <= r <= 4.4 for r in ratios) and errs[-1] <= 1e-6
     return passed, (
-        f"etd1 halving ratios {r1[0]:.3f},{r1[1]:.3f} (in [1.8,2.2]); "
-        f"etd2 {r2[0]:.3f},{r2[1]:.3f} (in [3.6,4.4]); "
-        f"etd2 error at dt={dts[-1]:g}: {e2[-1]:.2e} (<=1e-6)"
+        f"etd2 halving ratios {ratios[0]:.3f},{ratios[1]:.3f} (in [3.6,4.4]); "
+        f"etd2 error at dt={dts[-1]:g}: {errs[-1]:.2e} (<=1e-6)"
     )
 
 

@@ -136,7 +136,6 @@ _SCHEMA = {
     "dynamics.s": _Key(float, 1.5, (1.0, np.inf, True)),
     "dynamics.T": _Key(float, {"*": 1.0, "radius-track": 5.0}, (0.0, np.inf, True)),
     "dynamics.dt": _Key(float, 0.005, (0.0, np.inf, True)),
-    "dynamics.scheme": _Key(str, "etd2", choices=("etd1", "etd2")),
     "run.record_every": _Key(int, {"*": 5, "radius-track": 20}, (1, np.inf, False)),
     "run.seed": _Key(int, 1234),
     # the experiments that measure on an observation set refuse "none"
@@ -400,7 +399,6 @@ def _simulate_stage(u0, a, cfg, obs, store_states=False):
         float(cfg["dynamics.s"]),
         float(cfg["dynamics.T"]),
         float(cfg["dynamics.dt"]),
-        scheme=str(cfg["dynamics.scheme"]),
         record_every=int(cfg["run.record_every"]),
         obs_set=obs,
         store_states=store_states,

@@ -28,9 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ensembles import hermitian_symmetrize
 from .rng import make_generator
 from .solver import _log_growth, _sup_coeff
-from .spectral import GridSpec, SpectralField, _conjugate_partner, _require_single
+from .spectral import GridSpec, SpectralField, _require_single
 
 __all__ = [
     "ThinSetError",
@@ -106,7 +107,7 @@ def _restriction_gram(obs, band: float) -> np.ndarray:
     grid = obs.grid
     n, dim = grid.n, grid.dim
     h = np.fft.fftn(obs.indicator.astype(float)) * (grid.dx / grid.period) ** dim
-    g = 0.5 * (h + h[_conjugate_partner(grid)].conj())
+    g = hermitian_symmetrize(grid, h)
     # g tiled over [0, 2n)^dim: the difference or sum d of two band modes has
     # every component in [-n, n), so it sits at flat index d @ weights + offset
     tile = np.tile(g, (2,) * dim)

@@ -2,9 +2,9 @@
 
 The mild form of d/dt u + |D|^s u = a(t,x) u treats the dissipation exactly
 through the semigroup factor exp(-dt*|k|^s) and quadratures the zero-order
-term.  Two schemes are provided: etd1 (first order) and etd2 (second order,
-evaluating the product term at both endpoints of the step).  The phi
-weights (e^z - 1)/z and (e^z - 1 - z)/z^2 switch to Taylor expansions below
+term by ETD2RK (Cox & Matthews 2002), which is second order and evaluates
+the product term at both endpoints of the step.  The phi weights
+(e^z - 1)/z and (e^z - 1 - z)/z^2 switch to Taylor expansions below
 |z| = 1e-4 where the direct formulas lose digits to cancellation.
 
 The product a*u is formed in physical space with 2/3-rule truncation both
@@ -135,7 +135,6 @@ def step(
     s: float,
     t: float,
     dt: float,
-    scheme: str = "etd2",
 ) -> SpectralField:
     """Advance one step of size dt starting at time t; a batched u advances
     every member."""
@@ -143,16 +142,12 @@ def step(
         raise ValueError(f"dt must be positive, got {dt}")
     if not s > 1:
         raise ValueError(f"s must exceed 1, got {s}")
-    if scheme not in ("etd1", "etd2"):
-        raise ValueError(f"scheme must be 'etd1' or 'etd2', got {scheme!r}")
     grid = u.grid
     semigroup, w1, w2 = _etd_weights(grid, s, dt)
     n0, predictor, work = _workspace(u.coeffs.shape)
     _product_term(grid, _dealiased_a(grid, a.sample(t)), u.coeffs, out=n0)
     np.multiply(semigroup, u.coeffs, out=predictor)
     np.multiply(w1, n0, out=work)
-    if scheme == "etd1":
-        return u.with_coeffs(predictor + work)
     predictor += work
     n1 = _product_term(grid, _dealiased_a(grid, a.sample(t + dt)), predictor, out=work)
     n1 -= n0  # the state is predictor + w2 * (n1 - n0)
@@ -211,16 +206,14 @@ def simulate(
     s: float,
     T: float,
     dt: float,
-    scheme: str = "etd2",
     record_every: int = 1,
     obs_set=None,
-    t0: float = 0.0,
     store_states: bool = True,
 ) -> Trajectory:
-    """Integrate up to time t0 + T, recording every ``record_every`` steps.
+    """Integrate from t = 0 to T, recording every ``record_every`` steps.
 
     The last step is shortened when dt does not divide T, so the final
-    recorded time is exactly t0 + T.  Non-finite states abort with
+    recorded time is exactly T.  Non-finite states abort with
     IntegrationError naming the offending step (and member, for a batch).
     A batched u0 advances every member with one step call per step.  Each
     diagnostic is one call (one inverse transform for 'l2_on_E') per block of
@@ -261,17 +254,17 @@ def simulate(
 
     _etd_weights.cache_clear()  # weights never outlive the run that built them
     u = u0
-    record(t0, u)
+    record(0.0, u)
     for j in range(total_steps):
         h = dt if j < n_full else remainder
-        t = t0 + j * dt
-        u = step(u, a, s, t, h, scheme=scheme)
+        t = j * dt
+        u = step(u, a, s, t, h)
         if not np.all(np.isfinite(u.coeffs)):
             finite = np.isfinite(u.coeffs).reshape(-1, np.prod(u.grid.shape)).all(axis=1)
             raise IntegrationError(j + 1, t + h, int(np.argmin(finite)) if u.batched else None)
         is_last = j == total_steps - 1
         if is_last or (j + 1) % record_every == 0:
-            record(t0 + T if is_last else t + h, u)
+            record(T if is_last else t + h, u)
     if pending:
         take_diagnostics()
 

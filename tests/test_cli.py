@@ -574,7 +574,7 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         ("dynamics.T", ["observability", "--set", "dynamics.T=0.0"]),
         ("dynamics.dt", ["simulate", "--set", "dynamics.dt=0"]),
         ("dynamics.dt", ["ls-scan", "--set", "dynamics.dt=-5"]),
-        ("dynamics.scheme", ["simulate", "--set", "dynamics.scheme=rk4"]),
+        ("unknown config key 'dynamics.scheme'", ["simulate", "--set", "dynamics.scheme=etd2"]),
         ("dynamics.s", ["interp-scan", "--set", "dynamics.s=1.0"]),
         ("ensemble.count", ["interp-scan", "--set", "ensemble.count=0"]),
         ("obs.theta", ["observability", "--set", "obs.theta=1.0"]),
@@ -668,13 +668,13 @@ def test_range_ends_of_unbuilt_keys_are_valid(tmp_path, monkeypatch):
 # config_hash of each experiment's default config: a default given to the
 # wrong experiment changes one
 _DEFAULT_HASHES = {
-    "simulate": "ec58191f1ed967ded901f2d01858f124271fcb6c2c43631d095e4676f3feef71",
-    "ls-scan": "43d9b070c309de571ce6c194e7022a2a9a7f59fcf44d96e4d098c4b089c35d8a",
-    "interp-scan": "b3ac8e8b2b9473be48b7d211c09ed9e1572108c28079a51291bbd4772a83ba02",
-    "observability": "190bc79afcc8b972ea0ccded40e7dfc03f36e3fc35d917d13cb2e66b97a432b3",
-    "radius-track": "cd6b271c88395ae80983646fcd76691f7f8199a5fc43033460c01df1a6764bf9",
-    "class-verify": "d7f7a076234ade69655bd9bc758e48f3c264640728941408168cbb9b7809e6ec",
-    "assert-suite": "5d7c94cc39bd8a9f1ca7503eedce7e6372a54979c3759fe62c5e8960cde84959",
+    "simulate": "ab0bce1fed7b607f9f2aaaeddcbd05b649263f31d57a3681a785870d2b780655",
+    "ls-scan": "c9331b8c322164575ac04b76eee2f0b15e0b484afbc9bea56c030e95bcce477e",
+    "interp-scan": "bf9f6e94e3042bc6e0d5fa25264a717bb4fe0c4ac5649281619fd57766befcd9",
+    "observability": "c22fceccda0e06435da2e4cb3a5bc6ed13ba260d01050e104eb9bf6a1c2366ad",
+    "radius-track": "0bac306f946d14b9592b2ac06031b33daeeab3e7357c4d6a1bf698e22f844d51",
+    "class-verify": "63e827183411f2ddca515282ecdcfe6ba172506f81c6fd2881d8534ac5254049",
+    "assert-suite": "5b8e11e9b91338d0e3bf67b70f2c424fd6ac792dfd4e74953a10504a8fdb1d81",
 }
 
 
