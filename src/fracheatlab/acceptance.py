@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -19,11 +20,12 @@ from .spectral import GridSpec, SpectralField, transform, inverse, semigroup_app
 from .norms import (
     ExpLinearWeight,
     ExpLogLogWeight,
+    derivative_sup,
     l2_norm,
     strip_sup_norm,
     weighted_fourier_norm,
 )
-from .coefficients import builtin_coefficient, h_s_derivative_check
+from .coefficients import builtin_coefficient
 from .thick_sets import build_set
 from .solver import simulate, energy_certificate
 from .ensembles import make_ensemble, random_band_limited, single_mode
@@ -347,17 +349,43 @@ def _c9_observability():
     )
 
 
+def _kernel_derivative(s: float, x: np.ndarray, m: int) -> np.ndarray:
+    """The m-th derivative of h(x) = (1+x^2)^(-s/2) at s = 2 or 1, in closed form."""
+    if s == 2.0:
+        # h = Re(1/(1 - ix))
+        return (factorial(m) * 1j**m * (1.0 - 1j * x) ** -(m + 1)).real
+    # h(x + t) = (1/r) * sum_m P_m(-x/r) (t/r)^m with r = sqrt(1+x^2), the
+    # Legendre generating function; legval runs the three-term recurrence
+    r = np.sqrt(1.0 + x * x)
+    legendre = np.polynomial.legendre.legval(x / r, [0.0] * m + [1.0])
+    return (-1.0) ** m * factorial(m) * r ** -(m + 1) * legendre
+
+
 def _c10_kernel():
-    """Finite derivative-growth prefactor for the line kernel at s=1,2."""
+    """Spectral derivative sups of the line kernel h = (1+x^2)^(-s/2) at s=2,1
+    against the closed-form sups at the same points, orders 0..8.
+
+    h has poles at +-i, so sup|h^(m)| grows like m!.  The periodization seam's
+    error spreads over the whole torus: at period 40 (s=2, n=1024) the order-7
+    sup over |x| <= 10 has a relative error of 23, and at period 800 (s=1,
+    n=16384) the order-8 one has 1.2e-4.  So each torus is wide enough for the
+    seam to stay below the tolerance through order 8; both grids have an axis
+    Nyquist of about 50.
+    """
+    orders = np.arange(9)
     details = []
     passed = True
-    for s in (1.0, 2.0):
-        rep = h_s_derivative_check(s, alpha_max=8)
-        ok = np.isfinite(rep.prefactor) and rep.prefactor > 0
-        passed = passed and ok
+    for s, period, log2_n in ((2.0, 2048.0, 15), (1.0, 65536.0, 20)):
+        grid = GridSpec(1, 1 << log2_n, period)
+        x = grid.x_centered_axes[0]
+        measured = derivative_sup(grid, (1.0 + x * x) ** (-s / 2.0), orders[:, None])
+        exact = np.array([np.max(np.abs(_kernel_derivative(s, x, m))) for m in orders])
+        rel_err = float(np.max(np.abs(measured - exact) / exact))
+        growth = float(np.max(measured / [factorial(m) for m in orders]))
+        passed = passed and rel_err <= 1e-6
         details.append(
-            f"s={s:g}: K={rep.prefactor:.3e}, periodization boundary "
-            f"{rep.boundary_value:.1e} at period {rep.period:g}"
+            f"s={s:g}: largest relative error {rel_err:.1e} (tol 1e-6), largest sup/m! "
+            f"{growth:.3f} to order 8 at period {period:g}, n=2^{log2_n}"
         )
     return passed, "; ".join(details)
 

@@ -488,19 +488,21 @@ def run_interp_scan(cfg, inputs) -> _Result:
         float(cfg["interp.theta_min"]), float(cfg["interp.theta_max"]), n_theta
     )
     cap = float(cfg["interp.cap"])
+    no_pairs = not (degenerate or pairs.count)
     rows = []
     constants = []
     for theta in thetas:
         if degenerate:
-            rows.append((theta, np.inf, "unbounded"))
-            constants.append(np.inf)
-            continue
-        c_theta = smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, theta))
+            c_theta, status = np.inf, "unbounded"
+        elif no_pairs:
+            # no pair measures a constant: the dominator's 1.0 would be a default
+            c_theta, status = np.nan, "no_pairs"
+        else:
+            c_theta = smallest_log_affine_dominator(pairs.q, _worst_log_ratio(pairs, theta))
+            status = "ok" if c_theta <= cap else "above_cap"
         constants.append(c_theta)
-        rows.append((theta, c_theta, "ok" if c_theta <= cap else "above_cap"))
-    breakdown = next(
-        (thetas[i] for i, c in enumerate(constants) if not c <= cap), None
-    )
+        rows.append((theta, c_theta, status))
+    breakdown = next((thetas[i] for i, c in enumerate(constants) if c > cap), None)
     lines = [
         ("pairs", pairs.count),
         ("degenerate_records", degenerate),
@@ -513,7 +515,12 @@ def run_interp_scan(cfg, inputs) -> _Result:
     ]
     limit = float(cfg["interp.assert_below"])
     bad = [t for t, c in zip(thetas, constants) if t <= limit + 1e-12 and not np.isfinite(c)]
-    violation = f"interpolation constant unbounded at theta {bad[0]:g}" if bad else None
+    if no_pairs:
+        violation = f"no recorded pairs in (0, {t_cap:g}]"
+    elif bad:
+        violation = f"interpolation constant unbounded at theta {bad[0]:g}"
+    else:
+        violation = None
     return _Result("interp_constants.csv", ["theta", "constant", "status"], rows, lines, violation)
 
 

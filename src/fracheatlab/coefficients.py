@@ -12,15 +12,12 @@ uniformly in time:
 them against the declared budget.  ``builtin_coefficient`` provides a small
 registry of ready-made fields; custom ones can be constructed directly from
 any evaluator.
-
-``h_s_derivative_check`` measures derivative growth of the reciprocal weight
-(1+|x|^2)^(-s/2) on a torus wide enough that periodization is negligible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import isfinite
 from typing import Callable
 
 import numpy as np
@@ -36,8 +33,6 @@ __all__ = [
     "builtin_coefficient",
     "verify_class",
     "ClassCheckReport",
-    "h_s_derivative_check",
-    "HsCheckReport",
     "BUILTIN_COEFFICIENTS",
 ]
 
@@ -313,55 +308,4 @@ def verify_class(
         rel_tol=rel_tol,
         rows=tuple(rows),
         unchecked=len(unchecked),
-    )
-
-
-@dataclass(frozen=True)
-class HsCheckReport:
-    s: float
-    alpha_max: int
-    derivative_sups: np.ndarray
-    base: float
-    boundary_value: float
-    period: float
-
-    @property
-    def prefactor(self) -> float:
-        """The prefactor at the report's own base."""
-        return self.prefactor_for_base(self.base)
-
-    def prefactor_for_base(self, base: float) -> float:
-        """Minimal K with sup|d^m h| <= K * base^m * m! over measured m."""
-        denom = np.array([base**m * factorial(m) for m in range(self.alpha_max + 1)])
-        return float(np.max(self.derivative_sups / denom))
-
-
-def h_s_derivative_check(s: float, alpha_max: int = 8) -> HsCheckReport:
-    """Measure derivative growth of h(x) = (1+x^2)^(-s/2) on a wide torus.
-
-    Returns the minimal prefactor K with sup|d^m h| <= K * 12^m * m! for all
-    m <= alpha_max, together with the boundary value of h at half period:
-    that value bounds the periodization error incurred by sampling the line
-    function on a torus.  The period is at least 40 and grows for small s
-    until the boundary value drops below 2.5e-3; the resolution keeps the
-    axis Nyquist frequency near 64 so that spectral differentiation of this
-    analytically decaying profile is accurate.
-    """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    needed = 2.0 * np.sqrt(max(0.0025 ** (-2.0 / s) - 1.0, 0.0))
-    period = float(max(40.0, np.ceil(needed)))
-    points = 1 << int(np.ceil(np.log2(period * 64.0 / np.pi)))
-    grid = GridSpec(dim=1, n=points, period=period)
-    x = grid.x_centered_axes[0]
-    h = (1.0 + x**2) ** (-s / 2.0)
-    sups = derivative_sup(grid, h, _multi_indices(1, alpha_max))
-    boundary = float((1.0 + (period / 2.0) ** 2) ** (-s / 2.0))
-    return HsCheckReport(
-        s=float(s),
-        alpha_max=alpha_max,
-        derivative_sups=sups,
-        base=12.0,
-        boundary_value=boundary,
-        period=period,
     )

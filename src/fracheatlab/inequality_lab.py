@@ -436,6 +436,7 @@ def smallest_log_affine_dominator(qs, log_targets) -> float:
 
     The left side is increasing in C for positive q, so bisection applies.
     Used to absorb measured constants into single-constant bound shapes.
+    With no pairs it returns 1.0, the floor of C; that is not a measurement.
     """
     qs = np.asarray(qs, dtype=float)
     log_targets = np.asarray(log_targets, dtype=float)
@@ -511,8 +512,9 @@ class ObservabilityReport:
     member_ratios: np.ndarray
     empirical_ratio: float
     premise_constant: float
-    # "energy" when the energy-growth factor exceeds the interpolation
-    # constant, else "interpolation"
+    # "none" when no recorded pair was read, else "energy" when the
+    # energy-growth factor exceeds the interpolation constant, else
+    # "interpolation"
     premise_source: str
     absorbed_constant: float
     telescoped_bound: float
@@ -639,7 +641,9 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
         member_ratios=np.asarray(ratios),
         empirical_ratio=float(empirical),
         premise_constant=float(c_premise),
-        premise_source="interpolation" if c_interp >= energy_max else "energy",
+        premise_source=(
+            "none" if not pairs.count else "interpolation" if c_interp >= energy_max else "energy"
+        ),
         absorbed_constant=float(lift.absorbed_constant),
         telescoped_bound=bound,
         log_telescoped_bound=float(log_bound),

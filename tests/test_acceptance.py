@@ -8,7 +8,9 @@ the same measurements back the ``fracheatlab assert-suite`` subcommand.
 
 import pytest
 
+from fracheatlab import acceptance
 from fracheatlab.acceptance import CRITERION_NAMES, run_criterion
+from fracheatlab.spectral import GridSpec
 
 
 @pytest.mark.parametrize(
@@ -27,6 +29,19 @@ def test_acceptance_criterion(index, name):
     assert result.elapsed <= result.budget, (
         f"{result.name} exceeded its budget: {result.elapsed:.2f}s > {result.budget:.0f}s"
     )
+
+
+def test_kernel_criterion_fails_on_a_misscaled_period(monkeypatch):
+    # a relative period error of 1e-6 in the grid the derivatives are taken
+    # on scales the m-th derivative by about m * 1e-6, past the tolerance
+    exact = acceptance.derivative_sup
+
+    def misscaled(grid, samples, alpha):
+        return exact(GridSpec(grid.dim, grid.n, grid.period * (1.0 + 1e-6)), samples, alpha)
+
+    monkeypatch.setattr(acceptance, "derivative_sup", misscaled)
+    result = run_criterion(10)
+    assert not result.passed, result.detail
 
 
 def test_criterion_count_and_names_are_frozen():

@@ -419,11 +419,13 @@ def test_interp_scan_equals_the_full_horizon_scan(tmp_path, T, dt, every):
     thetas = np.linspace(0.1, 0.9, 9)
     constants = [
         smallest_log_affine_dominator(qs, 2.0 * (log_j - th * log_ej - (1.0 - th) * log_i))
+        if len(qs) else np.nan
         for th in thetas
     ]
+    status = "ok" if len(qs) else "no_pairs"
     with open(out / "interp_constants.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1:] == [[repr(float(th)), repr(c), "ok"] for th, c in zip(thetas, constants)]
+    assert rows[1:] == [[repr(float(th)), repr(c), status] for th, c in zip(thetas, constants)]
     summary = dict(
         line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines()
     )
@@ -445,6 +447,25 @@ def test_interp_scan_up_to_t1_takes_every_step(tmp_path, monkeypatch, T, dt, eve
     assert len(calls) == steps
     summary = (out / "summary.txt").read_text()
     assert f"integrated_to = {T!r}\n" in summary and f"steps = {steps}\n" in summary
+
+
+def test_interp_scan_from_no_pairs_reports_no_constant(tmp_path, capsys):
+    # T = 0.001 is one step: one record inside (0, T] and no pair of times
+    sets = ["--set", "grid.n=32", "--set", "dynamics.T=0.001"]
+    rc, plain = _run(tmp_path, "interp-scan", *sets, tag="plain")
+    assert rc == 0
+    rc, asserted = _run(tmp_path, "interp-scan", *sets, "--assert", tag="asserted")
+    assert rc == 3
+    assert "assert: no recorded pairs in (0, 0.001]\n" in capsys.readouterr().err
+    with open(plain / "interp_constants.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 9 and all(row[1:] == ["nan", "no_pairs"] for row in rows)
+    summary = (plain / "summary.txt").read_text()
+    for line in ("pairs = 0", "constant_min = nan", "constant_max = nan",
+                 "constants_at_floor = 0", "breakdown_theta = none"):
+        assert f"{line}\n" in summary
+    for path in plain.iterdir():
+        assert path.read_bytes() == (asserted / path.name).read_bytes(), path.name
 
 
 def test_observability_run(tmp_path):

@@ -1,4 +1,4 @@
-"""Coefficient builders, class budgets, and the reciprocal-weight derivative check."""
+"""Coefficient builders and class budgets."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from fracheatlab.coefficients import (
     BUILTIN_COEFFICIENTS,
     builtin_coefficient,
     verify_class,
-    h_s_derivative_check,
 )
 
 
@@ -192,25 +191,3 @@ def test_verify_class_validates_its_arguments():
         verify_class(a, alpha_max=-1)
     with pytest.raises(ValueError, match="t_grid"):
         verify_class(a, t_grid=())
-
-
-@pytest.mark.parametrize("s", [1.0, 2.0])
-def test_reciprocal_weight_derivative_growth(s):
-    rep = h_s_derivative_check(s, alpha_max=8)
-    # sup|h| = 1 at order zero and the budget base 12 swamps the measured
-    # growth, so the fitted prefactor is the order-zero value exactly
-    assert rep.prefactor == pytest.approx(1.0, rel=1e-9)
-    assert rep.boundary_value <= 2.5001e-3
-    assert rep.derivative_sups[0] == pytest.approx(1.0, rel=1e-12)
-    assert np.all(np.isfinite(rep.derivative_sups))
-    # fitting against a smaller base raises the prefactor
-    assert rep.prefactor_for_base(1.0) >= rep.prefactor
-
-
-def test_h_s_check_widens_torus_for_slow_decay():
-    slow = h_s_derivative_check(0.5, alpha_max=2)
-    fast = h_s_derivative_check(3.0, alpha_max=2)
-    assert slow.period > fast.period
-    assert slow.boundary_value <= 2.5001e-3
-    with pytest.raises(ValueError):
-        h_s_derivative_check(0.0)

@@ -687,6 +687,20 @@ def test_observability_names_its_premise_source(fraction, source):
     else:
         assert rep.premise_constant > growth * (1.0 + 1e-6)
 
+
+def test_observability_reads_no_premise_from_no_pairs():
+    # T = dt is one record inside (0, T]: the premise 1.0 is the dominator's
+    # floor, not a measured constant
+    g = GridSpec(1, 64, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    obs = build_set("periodic_slab", g, scale=np.pi / 2, fraction=0.5)
+    rep = observability_experiment(
+        simulate(_decay_batch(g, 2), a, 1.5, 0.01, 0.01, obs_set=obs), a
+    )
+    assert rep.premise_source == "none"
+    assert rep.premise_constant == 1.0
+
+
 def test_observability_flags_degenerate_members():
     g = GridSpec(1, 64, 2 * np.pi)
     a = builtin_coefficient("zero", g)
