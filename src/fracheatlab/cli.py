@@ -539,9 +539,12 @@ def run_observability(cfg, inputs) -> _Result:
         ("degenerate_members", ",".join(map(str, rep.degenerate_members)) or "none"),
         ("bounded", rep.passed),
     ]
+    if rep.premise_source == "none":
+        violation = f"no recorded pairs in (0, {min(float(cfg['dynamics.T']), 1.0):g}]"
+    else:
+        violation = None if rep.passed else "empirical ratio exceeds the assembled bound"
     return _Result(
-        "observability.csv", ["member", "ratio"], enumerate(rep.member_ratios), lines,
-        None if rep.passed else "empirical ratio exceeds the assembled bound",
+        "observability.csv", ["member", "ratio"], enumerate(rep.member_ratios), lines, violation
     )
 
 

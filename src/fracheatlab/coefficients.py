@@ -8,8 +8,9 @@ uniformly in time:
 * entire class:   sup |d^alpha a| <= C * M^|alpha| * (alpha!)^kappa with
   kappa in [0, 1), strictly weaker growth than any analytic budget.
 
-``verify_class`` measures grid sup norms of spectral derivatives and checks
-them against the declared budget.  ``builtin_coefficient`` provides a small
+``verify_class`` checks grid sup norms of spectral derivatives against the
+declared budget, measuring only those that their Fourier l1 bounds leave
+able to decide it.  ``builtin_coefficient`` provides a small
 registry of ready-made fields; custom ones can be constructed directly from
 any evaluator.
 """
@@ -153,49 +154,104 @@ def _fourier_decay(
     symmetrized.  The declared analytic budget uses half the spectral decay
     radius; factorial growth then dominates the actual derivative growth, so
     the prefactor fitted on low orders stays valid for all higher ones.  The
-    fit's sups on |alpha| <= fit_alpha_max stay measured for verify_class,
-    which then measures only the orders above them.
+    fit is the largest sup*R^|alpha|/alpha! over |alpha| <= fit_alpha_max;
+    only the multi-indices whose l1 bound can reach it are measured, and
+    their sups stay measured for verify_class.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = make_generator(seed, stream="fourier_decay")
-    envelope = np.exp(-radius * grid.k_mag)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
-    sym_phases = 0.5 * (phases - phases[_conjugate_partner(grid)])
-    coeffs = envelope * np.exp(1j * sym_phases)
+    phases = 0.5 * (phases - phases[_conjugate_partner(grid)])
+    coeffs = np.exp(-radius * grid.k_mag) * np.exp(1j * phases)
     samples = np.fft.ifftn(coeffs).real * grid.n**grid.dim / grid.volume
+    # the spectrum is not held across the fit's transforms
+    del phases, coeffs
     if fit_alpha_max is None:
         fit_alpha_max = 16 if grid.dim == 1 else 10
     declared_r = radius / 2.0
-    alphas = _multi_indices(grid.dim, fit_alpha_max)
-    fitted = 0.0
-    for alpha, obs in zip(alphas, _sups(grid, samples, alphas)):
-        fitted = max(fitted, obs * declared_r ** sum(alpha) / _alpha_factorial(alpha))
+    fitted, _ = _worst(
+        grid, samples, _multi_indices(grid.dim, fit_alpha_max),
+        lambda alpha, sup: sup * declared_r ** sum(alpha) / _alpha_factorial(alpha),
+    )
     info = ClassA1(C=fitted, R=declared_r)
     return CoefficientField(grid, lambda t: samples, info, "fourier_decay")
 
 
-# (grid, a copy of the samples last measured, their sups by multi-index),
-# shared by a fourier_decay fit and the checks of its field; the entry is
-# replaced whole, so its samples and sups always belong together
+# relative slack on an l1 bound, far above the rounding of the bound and of
+# the transform whose sup it bounds
+_BOUND_SLACK = 1e-9
+
+# (grid, a copy of the samples last measured, their sups by multi-index, the
+# modulus of their half spectrum, their l1 bound tables by top order), shared
+# by a fourier_decay fit and the checks of its field; the entry is replaced
+# whole, so its parts always belong to the same samples
 _measured: list = [None]
 
 
-def _sups(grid: GridSpec, samples: np.ndarray, alphas) -> list:
-    """derivative_sup of samples at each of alphas, measuring only the
-    multi-indices not yet measured on equal samples over the same grid."""
+@np.errstate(over="ignore", invalid="ignore")
+def _l1_table(grid: GridSpec, modulus: np.ndarray, top: int) -> np.ndarray:
+    """U[alpha] = sum_k |c_k| prod_j |k_j|^alpha_j, a bound on the sup of
+    d^alpha, for every alpha with no component above top: one small matrix
+    product per axis.  Past the float range U is inf, or nan for inf * 0."""
+    orders = np.arange(top + 1)[:, None]
+    table = modulus
+    for k in grid.k_axes[::-1]:
+        powers = np.abs(k.ravel()[: table.shape[-1]]) ** orders
+        # contract the last axis, and put the order first
+        table = np.moveaxis(table @ powers.T, -1, 0)
+    return table
+
+
+def _worst(grid: GridSpec, samples: np.ndarray, alphas, score) -> tuple:
+    """(score, alpha) of the first of alphas with the largest
+    score(alpha, sup), or (0.0, zeros) when no score is positive; sup is
+    derivative_sup of the samples at alpha, and score is nondecreasing in it.
+
+    No sup exceeds its l1 bound, so a multi-index whose bound scores below
+    a measured score cannot decide the result.  One derivative_sup call
+    measures the multi-index whose finite bound scores highest, and a
+    second every other one whose bound does not score below the best
+    measured score.  Sups measured on equal samples over the same grid are
+    reused.
+    """
     entry = _measured[0]
     if entry is None or entry[0] != grid or not np.array_equal(samples, entry[1]):
-        # the old copy is dropped before the transforms, not held across them
-        entry = _measured[0] = None
-    sups = {} if entry is None else entry[2]
-    missing = [alpha for alpha in alphas if alpha not in sups]
-    if missing:
-        sups.update(zip(missing, derivative_sup(grid, samples, missing).tolist()))
-    if entry is None:
+        # the old copy is dropped before the transform, not held across it
+        _measured[0] = None
+        # the columns with a conjugate partner count twice, so that sums
+        # over the half spectrum of functions of |k| are whole-spectrum sums
+        modulus = np.abs(np.fft.rfftn(samples)) / grid.n**grid.dim
+        modulus[..., 1 : grid.n // 2] *= 2.0
         # a copy, in case the evaluator refills one buffer in place
-        _measured[0] = (grid, samples.copy(), sups)
-    return [sups[alpha] for alpha in alphas]
+        entry = _measured[0] = (grid, samples.copy(), {}, modulus, {})
+    _, _, sups, modulus, tables = entry
+    top = max(max(alpha) for alpha in alphas)
+    if top not in tables:
+        tables[top] = _l1_table(grid, modulus, top)
+    # a bound past the float range may score inf/inf
+    with np.errstate(invalid="ignore"):
+        caps = [(score(alpha, float(tables[top][alpha]) * (1.0 + _BOUND_SLACK)), alpha)
+                for alpha in alphas if alpha not in sups]
+
+    def measure(batch):
+        if batch:
+            sups.update(zip(batch, derivative_sup(grid, samples, batch).tolist()))
+
+    def worst():
+        # max keeps the first of equal scores
+        known = [(score(alpha, sups[alpha]), alpha) for alpha in alphas if alpha in sups]
+        return max([(0.0, (0,) * grid.dim), *known], key=lambda pair: pair[0])
+
+    highest = max((cap for cap in caps if isfinite(cap[0])), key=lambda cap: cap[0],
+                  default=(0.0, None))
+    if highest[0] > worst()[0]:
+        measure([highest[1]])
+    floor = worst()[0]
+    # a zero score never displaces the initial (0.0, zeros)
+    measure([alpha for cap, alpha in caps
+             if alpha not in sups and not (cap < floor or cap == 0.0)])
+    return worst()
 
 
 BUILTIN_COEFFICIENTS = {
@@ -249,9 +305,12 @@ def verify_class(
 ) -> ClassCheckReport:
     """Check measured derivative sups against the declared class budget.
 
-    Every multi-index with |alpha| <= alpha_max is measured spectrally at
-    each time in t_grid, unless it was already measured on samples equal to
-    this time's over the same grid, by the previous time or by the
+    At each time in t_grid the worst ratio of sup|d^alpha a| to its budget
+    is taken over every multi-index with |alpha| <= alpha_max.  A sup never
+    exceeds its Fourier l1 bound sum_k |c_k| prod_j |k_j|^alpha_j, so only
+    the multi-indices whose bound can reach the worst measured ratio are
+    measured spectrally, and none that was already measured on samples
+    equal to this time's over the same grid, by the previous time or by the
     fourier_decay fit of the field.  Differentiating sampled data amplifies
     rounding noise by the axis Nyquist frequency to the power |alpha|, so
     each comparison allows an absolute floor of
@@ -276,26 +335,28 @@ def verify_class(
     rows = []
     for t in t_grid:
         samples = a.sample(t)
-        sups = _sups(a.grid, samples, alphas)
         sup0 = float(np.max(np.abs(samples)))
         noise_unit = 8.0 * np.finfo(float).eps * a.grid.n**a.grid.dim * sup0
-        worst, worst_alpha = 0.0, (0,) * a.grid.dim
+        limits = {}
         with np.errstate(over="ignore"):
-            for alpha, obs, bound in zip(alphas, sups, bounds):
+            for alpha, bound in zip(alphas, bounds):
                 try:
                     allowance = noise_unit * a.grid.nyquist_axis ** sum(alpha)
                 except OverflowError:
                     allowance = np.inf
-                if bound == 0.0:
-                    limit = max(1e-12, allowance)
-                    ratio = 0.0 if obs <= limit else np.inf
-                else:
-                    limit = bound * (1.0 + rel_tol) + allowance
-                    ratio = obs / limit
+                zero = bound == 0.0
+                limit = max(1e-12, allowance) if zero else bound * (1.0 + rel_tol) + allowance
                 if not isfinite(limit):
                     unchecked.add(alpha)
-                if ratio > worst:
-                    worst, worst_alpha = ratio, alpha
+                limits[alpha] = (zero, limit)
+
+            def ratio(alpha, obs):
+                zero, limit = limits[alpha]
+                if zero:
+                    return 0.0 if obs <= limit else np.inf
+                return obs / limit
+
+            worst, worst_alpha = _worst(a.grid, samples, alphas, ratio)
         rows.append((float(t), float(worst), worst_alpha))
     # the first time reaching the overall maximum, as a strict > scan finds it
     worst_t, worst, worst_alpha = max(rows, key=lambda row: row[1])

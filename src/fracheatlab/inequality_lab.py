@@ -599,6 +599,8 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
     [1, T].  Members with zero observed mass, or whose restricted norm
     vanishes at a record the fit reads, are reported as degenerate and
     excluded from the empirical ratio; a vanishing record adds no pairs.
+    A run with no recorded pair inside (0, min(T,1)] bounds nothing: its
+    bound is assembled from the dominator's floor alone, and it fails.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -634,7 +636,7 @@ def observability_experiment(traj, a, theta: float = 0.5) -> ObservabilityReport
 
     finite = [r for i, r in enumerate(ratios) if i not in degenerate]
     empirical = max(finite) if finite else np.inf
-    passed = bool(finite) and bool(np.log(empirical) <= log_bound)
+    passed = bool(pairs.count) and bool(finite) and bool(np.log(empirical) <= log_bound)
     return ObservabilityReport(
         theta=float(theta),
         gap_exponent=float(delta),

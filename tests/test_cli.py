@@ -32,7 +32,7 @@ from fracheatlab.config import (
     config_hash,
     load_config,
 )
-from fracheatlab import acceptance, cli, solver
+from fracheatlab import acceptance, cli, coefficients, solver
 from fracheatlab.acceptance import CRITERION_NAMES, CriterionResult
 from fracheatlab.cli import main
 from fracheatlab.coefficients import (
@@ -480,6 +480,21 @@ def test_observability_run(tmp_path):
     assert "premise_source = interpolation" in summary
 
 
+def test_observability_from_no_pairs_is_not_bounded(tmp_path, capsys):
+    # T = 0.001 is one step: no pair of records, so no measured constant
+    # enters the bound, and the run must not read bounded = true
+    sets = ["--set", "grid.n=32", "--set", "dynamics.T=0.001"]
+    rc, plain = _run(tmp_path, "observability", *sets, tag="plain")
+    assert rc == 0
+    rc, asserted = _run(tmp_path, "observability", *sets, "--assert", tag="asserted")
+    assert rc == 3
+    assert "assert: no recorded pairs in (0, 0.001]\n" in capsys.readouterr().err
+    summary = (plain / "summary.txt").read_text()
+    assert "premise_source = none\n" in summary and "bounded = false\n" in summary
+    for path in plain.iterdir():
+        assert path.read_bytes() == (asserted / path.name).read_bytes(), path.name
+
+
 def test_observability_past_lambda_round_off_does_not_warn(tmp_path):
     # a = 20 absorbs a constant near 6e16, where the refinement ratio lambda
     # rounds to 1.0; the run exits 0 with every warning an error
@@ -536,18 +551,28 @@ def test_class_verify_rows_match_single_time_checks(tmp_path):
 
 
 def test_class_verify_measures_each_derivative_once_per_run(tmp_path, monkeypatch):
-    """The fourier_decay fit measures every alpha up to order 10 and the
-    check, at four equal times, only the 25 of orders 11 and 12: 91 last-axis
-    inverses per run, and a second run in one process measures afresh."""
-    inverses = []
+    """The fourier_decay fit and the check at four equal times measure only
+    the multi-indices whose l1 bound can decide the fitted C or a worst
+    ratio: each once per run, with one last-axis inverse each, and a second
+    run in one process measures afresh and writes the same bytes."""
+    inverses, measured = [], []
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: inverses.append(1) or irfft(*a, **kw))
+    sup = coefficients.derivative_sup
+
+    def recording_sup(grid, samples, alpha):
+        measured.extend(map(tuple, np.atleast_2d(alpha).tolist()))
+        return sup(grid, samples, alpha)
+
+    monkeypatch.setattr(coefficients, "derivative_sup", recording_sup)
     argv = ["--set", "grid.dim=2", "--set", "grid.n=16", "--set", "coeff.name=fourier_decay",
             "--set", "class.alpha_max=12", "--set", "class.t_values=0,0.5,1,1.5"]
     for tag in ("first", "second"):
         inverses.clear()
+        measured.clear()
         rc, _ = _run(tmp_path, "class-verify", *argv, tag=tag)
-        assert rc == 0 and len(inverses) == 91
+        # an exhaustive check measures all 91 multi-indices of order <= 12
+        assert rc == 0 and len(set(measured)) == len(measured) == len(inverses) == 3
     assert (tmp_path / "first" / "class_check.csv").read_bytes() == (
         tmp_path / "second" / "class_check.csv").read_bytes()
 

@@ -699,6 +699,7 @@ def test_observability_reads_no_premise_from_no_pairs():
     )
     assert rep.premise_source == "none"
     assert rep.premise_constant == 1.0
+    assert not rep.passed
 
 
 def test_observability_flags_degenerate_members():
