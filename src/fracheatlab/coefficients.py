@@ -83,13 +83,15 @@ class CoefficientField:
 
     ``evaluator`` maps a time to the real sample array on the grid.  The
     declared class is a promise checked by verify_class, not a constraint
-    enforced at construction.
+    enforced at construction.  A ``time_independent`` field promises the
+    same samples at every time, so the solver samples it once.
     """
 
     grid: GridSpec
     evaluator: Callable[[float], np.ndarray]
     class_info: object = None
     name: str = "custom"
+    time_independent: bool = False
 
     def sample(self, t: float) -> np.ndarray:
         out = np.asarray(self.evaluator(t), dtype=float)
@@ -102,13 +104,15 @@ class CoefficientField:
 
 def _zero(grid: GridSpec) -> CoefficientField:
     samples = np.zeros(grid.shape)
-    return CoefficientField(grid, lambda t: samples, ClassA1(C=0.0, R=1.0), "zero")
+    return CoefficientField(grid, lambda t: samples, ClassA1(C=0.0, R=1.0), "zero",
+                            time_independent=True)
 
 
 def _constant(grid: GridSpec, value: float = 1.0) -> CoefficientField:
     samples = np.full(grid.shape, float(value))
     return CoefficientField(
-        grid, lambda t: samples, ClassA1(C=abs(float(value)), R=1.0), "constant"
+        grid, lambda t: samples, ClassA1(C=abs(float(value)), R=1.0), "constant",
+        time_independent=True,
     )
 
 
@@ -126,7 +130,7 @@ def _cosine(grid: GridSpec, amplitude: float = 1.0, mode: int = 1) -> Coefficien
     x1 = grid.x_axes[0]
     samples = np.broadcast_to(amplitude * np.cos(k * x1), grid.shape).copy()
     info = ClassA2(C=abs(float(amplitude)), M=k, kappa=0.0)
-    return CoefficientField(grid, lambda t: samples, info, "cosine")
+    return CoefficientField(grid, lambda t: samples, info, "cosine", time_independent=True)
 
 
 def _time_cosine(
@@ -150,8 +154,10 @@ def _fourier_decay(
 ) -> CoefficientField:
     """Random real field with Fourier magnitudes exactly exp(-radius*|k|).
 
-    Phases are drawn from a seeded counter-based generator and conjugate
-    symmetrized.  The declared analytic budget uses half the spectral decay
+    Phases are drawn on the whole grid from a seeded counter-based generator
+    and conjugate symmetrized.  The spectrum is then Hermitian, so only its
+    half along the last axis is formed, and one real inverse gives the
+    samples.  The declared analytic budget uses half the spectral decay
     radius; factorial growth then dominates the actual derivative growth, so
     the prefactor fitted on low orders stays valid for all higher ones.  The
     fit is the largest sup*R^|alpha|/alpha! over |alpha| <= fit_alpha_max;
@@ -162,10 +168,14 @@ def _fourier_decay(
         raise ValueError(f"radius must be positive, got {radius}")
     rng = make_generator(seed, stream="fourier_decay")
     phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
-    phases = 0.5 * (phases - phases[_conjugate_partner(grid)])
-    coeffs = np.exp(-radius * grid.k_mag) * np.exp(1j * phases)
-    samples = np.fft.ifftn(coeffs).real * grid.n**grid.dim / grid.volume
-    # the spectrum is not held across the fit's transforms
+    half = np.s_[..., : grid.n // 2 + 1]
+    *lead, last = _conjugate_partner(grid)
+    phases = 0.5 * (phases[half] - phases[(*lead, last[half])])
+    coeffs = np.exp(-radius * grid.k_mag[half]) * np.exp(1j * phases)
+    samples = (np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes)
+               * grid.n**grid.dim / grid.volume)
+    # the half spectrum made here is not held across the fit, whose one
+    # forward transform of the samples serves its bounds and its sups
     del phases, coeffs
     if fit_alpha_max is None:
         fit_alpha_max = 16 if grid.dim == 1 else 10
@@ -175,7 +185,8 @@ def _fourier_decay(
         lambda alpha, sup: sup * declared_r ** sum(alpha) / _alpha_factorial(alpha),
     )
     info = ClassA1(C=fitted, R=declared_r)
-    return CoefficientField(grid, lambda t: samples, info, "fourier_decay")
+    return CoefficientField(grid, lambda t: samples, info, "fourier_decay",
+                            time_independent=True)
 
 
 # relative slack on an l1 bound, far above the rounding of the bound and of
@@ -183,9 +194,9 @@ def _fourier_decay(
 _BOUND_SLACK = 1e-9
 
 # (grid, a copy of the samples last measured, their sups by multi-index, the
-# modulus of their half spectrum, their l1 bound tables by top order), shared
-# by a fourier_decay fit and the checks of its field; the entry is replaced
-# whole, so its parts always belong to the same samples
+# modulus of their half spectrum, their l1 bound tables by top order, their
+# half spectrum), shared by a fourier_decay fit and the checks of its field;
+# the entry is replaced whole, so its parts always belong to the same samples
 _measured: list = [None]
 
 
@@ -213,19 +224,22 @@ def _worst(grid: GridSpec, samples: np.ndarray, alphas, score) -> tuple:
     measures the multi-index whose finite bound scores highest, and a
     second every other one whose bound does not score below the best
     measured score.  Sups measured on equal samples over the same grid are
-    reused.
+    reused, and so is the one forward transform that gives both the bounds
+    and every derivative_sup call its half spectrum.
     """
     entry = _measured[0]
     if entry is None or entry[0] != grid or not np.array_equal(samples, entry[1]):
         # the old copy is dropped before the transform, not held across it
         _measured[0] = None
+        # a copy: a view would keep the whole transform alive with the entry
+        half = np.fft.fftn(samples)[..., : grid.n // 2 + 1].copy()
         # the columns with a conjugate partner count twice, so that sums
         # over the half spectrum of functions of |k| are whole-spectrum sums
-        modulus = np.abs(np.fft.rfftn(samples)) / grid.n**grid.dim
+        modulus = np.abs(half) / grid.n**grid.dim
         modulus[..., 1 : grid.n // 2] *= 2.0
         # a copy, in case the evaluator refills one buffer in place
-        entry = _measured[0] = (grid, samples.copy(), {}, modulus, {})
-    _, _, sups, modulus, tables = entry
+        entry = _measured[0] = (grid, samples.copy(), {}, modulus, {}, half)
+    _, _, sups, modulus, tables, half = entry
     top = max(max(alpha) for alpha in alphas)
     if top not in tables:
         tables[top] = _l1_table(grid, modulus, top)
@@ -236,7 +250,8 @@ def _worst(grid: GridSpec, samples: np.ndarray, alphas, score) -> tuple:
 
     def measure(batch):
         if batch:
-            sups.update(zip(batch, derivative_sup(grid, samples, batch).tolist()))
+            sups.update(zip(batch, derivative_sup(grid, samples, batch,
+                                                  half_spectrum=half).tolist()))
 
     def worst():
         # max keeps the first of equal scores

@@ -150,7 +150,7 @@ def _alpha_factorial(alpha) -> float:
 
 # an order past the float range overflows silently and raises below
 @np.errstate(over="ignore", invalid="ignore")
-def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
+def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha, half_spectrum=None):
     """Grid sup norm of the spectral derivative d^alpha of real samples.
 
     ``alpha`` is one multi-index, giving a float, or an (m, dim) array of
@@ -163,6 +163,9 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     inverse with fftfreq's negative Nyquist k, so axis 0's Nyquist row takes
     Re((i k_N)^a) in the paired columns and (i k_N)^a in the self-conjugate
     columns 0 and n/2, whose imaginary part the real inverse drops.
+    A caller that already holds np.fft.fftn(samples)[..., :n//2 + 1] may
+    pass it as ``half_spectrum``; the samples are then not transformed
+    again, and the sups are the same bits.
     A sup that is not finite (the order is past the float range on this
     grid) raises FloatingPointError naming the first such multi-index.
     """
@@ -174,7 +177,13 @@ def derivative_sup(grid: GridSpec, samples: np.ndarray, alpha):
     if np.iscomplexobj(samples):
         raise ValueError(f"derivative_sup takes real samples, got dtype {samples.dtype}")
     nyq = grid.n // 2
-    hat0 = np.fft.fftn(np.asarray(samples, dtype=float))[..., : nyq + 1]
+    if half_spectrum is None:
+        hat0 = np.fft.fftn(np.asarray(samples, dtype=float))[..., : nyq + 1]
+    else:
+        hat0 = np.asarray(half_spectrum)
+        half_shape = grid.shape[:-1] + (nyq + 1,)
+        if hat0.shape != half_shape:
+            raise ValueError(f"half_spectrum must have shape {half_shape}, got {hat0.shape}")
     k_last = grid.k_axes[-1][..., : nyq + 1]
     # the leading component of each alpha in 2D, none in 1D
     leads, group = np.unique(alphas[:, :-1], axis=0, return_inverse=True)

@@ -560,9 +560,9 @@ def test_class_verify_measures_each_derivative_once_per_run(tmp_path, monkeypatc
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: inverses.append(1) or irfft(*a, **kw))
     sup = coefficients.derivative_sup
 
-    def recording_sup(grid, samples, alpha):
+    def recording_sup(grid, samples, alpha, **kwargs):
         measured.extend(map(tuple, np.atleast_2d(alpha).tolist()))
-        return sup(grid, samples, alpha)
+        return sup(grid, samples, alpha, **kwargs)
 
     monkeypatch.setattr(coefficients, "derivative_sup", recording_sup)
     argv = ["--set", "grid.dim=2", "--set", "grid.n=16", "--set", "coeff.name=fourier_decay",
@@ -575,6 +575,25 @@ def test_class_verify_measures_each_derivative_once_per_run(tmp_path, monkeypatc
         assert rc == 0 and len(set(measured)) == len(measured) == len(inverses) == 3
     assert (tmp_path / "first" / "class_check.csv").read_bytes() == (
         tmp_path / "second" / "class_check.csv").read_bytes()
+
+
+def test_class_verify_transforms_its_samples_once(tmp_path, monkeypatch):
+    """A 2D fourier_decay class-verify run forward-transforms its samples
+    once: the fit's bound table and every derivative_sup call of the fit
+    and the checks read the same half spectrum."""
+    calls = []
+    for name in ("fftn", "rfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(x, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    rc, _ = _run(tmp_path, "class-verify", "--set", "grid.dim=2", "--set", "grid.n=32",
+                 "--set", "coeff.name=fourier_decay", "--set", "class.alpha_max=12",
+                 "--set", "class.t_values=0,0.5,1,1.5")
+    assert rc == 0 and calls == ["fftn"]
 
 
 # the work-stage calls of the runners; the config stage runs before any

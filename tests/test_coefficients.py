@@ -17,6 +17,7 @@ from fracheatlab.coefficients import (
     verify_class,
 )
 from fracheatlab.norms import _alpha_factorial, _multi_indices, derivative_sup
+from fracheatlab.rng import make_generator
 
 
 def test_budget_values():
@@ -85,6 +86,33 @@ def test_fourier_decay_fitted_class():
     g2 = GridSpec(2, 32, 2 * np.pi)
     a2 = builtin_coefficient("fourier_decay", g2, radius=1.5, seed=4)
     assert verify_class(a2, alpha_max=8).passed
+
+
+def _full_spectrum_samples(grid, radius, seed):
+    """fourier_decay's samples from its whole Hermitian spectrum, written
+    out: the same phases, symmetrized on every mode, and a complex inverse."""
+    phases = make_generator(seed, stream="fourier_decay").uniform(0.0, 2.0 * np.pi, grid.shape)
+    partner = (-np.arange(grid.n)) % grid.n
+    phases = 0.5 * (phases - phases[np.ix_(*[partner] * grid.dim)])
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.period / grid.n)
+    k_mag = np.sqrt(sum(k_j**2 for k_j in np.meshgrid(*[k] * grid.dim, indexing="ij")))
+    full = np.exp(-radius * k_mag) * np.exp(1j * phases)
+    return np.fft.ifftn(full).real * grid.n**grid.dim / grid.period**grid.dim
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_fourier_decay_half_spectrum_matches_the_full_inverse(dim, n):
+    """Samples synthesized from the half spectrum equal the complex inverse
+    of the whole spectrum to within round-off, at several radii, seeds and
+    periods."""
+    for period, radius, seed in ((2 * np.pi, 0.5, 0), (2 * np.pi, 0.05, 7), (3.0, 2.0, 3)):
+        grid = GridSpec(dim, n, period)
+        samples = builtin_coefficient("fourier_decay", grid, radius=radius, seed=seed,
+                                      fit_alpha_max=2).sample(0.0)
+        expect = _full_spectrum_samples(grid, radius, seed)
+        assert np.max(np.abs(samples - expect)) <= 2e-15 * np.max(np.abs(expect)), (
+            period, radius, seed)
 
 
 def test_verify_class_flags_a_lying_budget():

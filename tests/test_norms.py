@@ -199,7 +199,7 @@ def _derivative_sup_reference(g, samples, alpha):
     return float(np.max(np.abs(np.fft.ifftn(hat).real)))
 
 
-@pytest.mark.parametrize("dim,n,order,source", [
+_BATCHED_CASES = [
     pytest.param(1, 64, 8, "noise", id="1-64"),
     pytest.param(2, 32, 6, "noise", id="2-32"),
     # the Nyquist row and corner carry O(1) weight: a wrong Nyquist rule on
@@ -207,7 +207,10 @@ def _derivative_sup_reference(g, samples, alpha):
     pytest.param(2, 16, 12, "noise", id="2-16"),
     # analytic samples up to the noise-dominated orders
     pytest.param(2, 64, 12, "fourier_decay", id="2-64-fourier_decay"),
-])
+]
+
+
+@pytest.mark.parametrize("dim,n,order,source", _BATCHED_CASES)
 def test_derivative_sup_batched_matches_per_alpha(dim, n, order, source):
     g = GridSpec(dim, n, 2 * np.pi)
     if source == "noise":
@@ -241,6 +244,26 @@ def test_derivative_sup_batched_matches_per_alpha(dim, n, order, source):
         derivative_sup(g, samples, [(1,) * (dim + 1)] * 3)
     with pytest.raises(ValueError):
         derivative_sup(g, samples, [(0,) * dim, (-1,) * dim])
+
+
+@pytest.mark.parametrize("dim,n,order,source", _BATCHED_CASES)
+def test_derivative_sup_from_a_given_half_spectrum_is_bit_identical(dim, n, order, source):
+    """A caller's half spectrum replaces the forward transform and leaves
+    every sup the same bits, batched and per multi-index; a spectrum of
+    another shape is refused."""
+    g = GridSpec(dim, n, 2 * np.pi)
+    if source == "noise":
+        samples = make_generator(31, "batched-derivative", dim).standard_normal(g.shape)
+    else:
+        samples = builtin_coefficient(source, g).sample(0.0)
+    half = np.fft.fftn(samples)[..., : n // 2 + 1]
+    alphas = _multi_indices(dim, order)
+    given = derivative_sup(g, samples, alphas, half_spectrum=half)
+    assert given.tolist() == derivative_sup(g, samples, alphas).tolist()
+    assert [derivative_sup(g, samples, alpha, half_spectrum=half) for alpha in alphas] == (
+        given.tolist())
+    with pytest.raises(ValueError, match="half_spectrum"):
+        derivative_sup(g, samples, alphas, half_spectrum=np.fft.fftn(samples))
 
 
 def test_derivative_sup_shares_one_partial_inverse_per_first_order(monkeypatch):
