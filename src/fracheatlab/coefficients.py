@@ -83,15 +83,13 @@ class CoefficientField:
 
     ``evaluator`` maps a time to the real sample array on the grid.  The
     declared class is a promise checked by verify_class, not a constraint
-    enforced at construction.  A ``time_independent`` field promises the
-    same samples at every time, so the solver samples it once.
+    enforced at construction.
     """
 
     grid: GridSpec
     evaluator: Callable[[float], np.ndarray]
     class_info: object = None
     name: str = "custom"
-    time_independent: bool = False
 
     def sample(self, t: float) -> np.ndarray:
         out = np.asarray(self.evaluator(t), dtype=float)
@@ -104,15 +102,13 @@ class CoefficientField:
 
 def _zero(grid: GridSpec) -> CoefficientField:
     samples = np.zeros(grid.shape)
-    return CoefficientField(grid, lambda t: samples, ClassA1(C=0.0, R=1.0), "zero",
-                            time_independent=True)
+    return CoefficientField(grid, lambda t: samples, ClassA1(C=0.0, R=1.0), "zero")
 
 
 def _constant(grid: GridSpec, value: float = 1.0) -> CoefficientField:
     samples = np.full(grid.shape, float(value))
     return CoefficientField(
-        grid, lambda t: samples, ClassA1(C=abs(float(value)), R=1.0), "constant",
-        time_independent=True,
+        grid, lambda t: samples, ClassA1(C=abs(float(value)), R=1.0), "constant"
     )
 
 
@@ -130,7 +126,7 @@ def _cosine(grid: GridSpec, amplitude: float = 1.0, mode: int = 1) -> Coefficien
     x1 = grid.x_axes[0]
     samples = np.broadcast_to(amplitude * np.cos(k * x1), grid.shape).copy()
     info = ClassA2(C=abs(float(amplitude)), M=k, kappa=0.0)
-    return CoefficientField(grid, lambda t: samples, info, "cosine", time_independent=True)
+    return CoefficientField(grid, lambda t: samples, info, "cosine")
 
 
 def _time_cosine(
@@ -185,28 +181,31 @@ def _fourier_decay(
         lambda alpha, sup: sup * declared_r ** sum(alpha) / _alpha_factorial(alpha),
     )
     info = ClassA1(C=fitted, R=declared_r)
-    return CoefficientField(grid, lambda t: samples, info, "fourier_decay",
-                            time_independent=True)
+    return CoefficientField(grid, lambda t: samples, info, "fourier_decay")
 
 
 # relative slack on an l1 bound, far above the rounding of the bound and of
 # the transform whose sup it bounds
 _BOUND_SLACK = 1e-9
 
-# (grid, a copy of the samples last measured, their sups by multi-index, the
-# modulus of their half spectrum, their l1 bound tables by top order, their
-# half spectrum), shared by a fourier_decay fit and the checks of its field;
-# the entry is replaced whole, so its parts always belong to the same samples
+# (grid, a copy of the samples last measured, their sups by multi-index,
+# their half spectrum, their l1 bound tables by top order), shared by a
+# fourier_decay fit and the checks of its field; the entry is replaced whole,
+# so its parts always belong to the same samples
 _measured: list = [None]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _l1_table(grid: GridSpec, modulus: np.ndarray, top: int) -> np.ndarray:
+def _l1_table(grid: GridSpec, half: np.ndarray, top: int) -> np.ndarray:
     """U[alpha] = sum_k |c_k| prod_j |k_j|^alpha_j, a bound on the sup of
-    d^alpha, for every alpha with no component above top: one small matrix
-    product per axis.  Past the float range U is inf, or nan for inf * 0."""
+    d^alpha, for every alpha with no component above top, from the half
+    spectrum fftn(samples)[..., :n//2 + 1]: one small matrix product per
+    axis.  Past the float range U is inf, or nan for inf * 0."""
+    # the columns with a conjugate partner count twice, so that sums over
+    # the half spectrum of functions of |k| are whole-spectrum sums
+    table = np.abs(half) / grid.n**grid.dim
+    table[..., 1 : grid.n // 2] *= 2.0
     orders = np.arange(top + 1)[:, None]
-    table = modulus
     for k in grid.k_axes[::-1]:
         powers = np.abs(k.ravel()[: table.shape[-1]]) ** orders
         # contract the last axis, and put the order first
@@ -233,16 +232,12 @@ def _worst(grid: GridSpec, samples: np.ndarray, alphas, score) -> tuple:
         _measured[0] = None
         # a copy: a view would keep the whole transform alive with the entry
         half = np.fft.fftn(samples)[..., : grid.n // 2 + 1].copy()
-        # the columns with a conjugate partner count twice, so that sums
-        # over the half spectrum of functions of |k| are whole-spectrum sums
-        modulus = np.abs(half) / grid.n**grid.dim
-        modulus[..., 1 : grid.n // 2] *= 2.0
         # a copy, in case the evaluator refills one buffer in place
-        entry = _measured[0] = (grid, samples.copy(), {}, modulus, {}, half)
-    _, _, sups, modulus, tables, half = entry
+        entry = _measured[0] = (grid, samples.copy(), {}, half, {})
+    _, _, sups, half, tables = entry
     top = max(max(alpha) for alpha in alphas)
     if top not in tables:
-        tables[top] = _l1_table(grid, modulus, top)
+        tables[top] = _l1_table(grid, half, top)
     # a bound past the float range may score inf/inf
     with np.errstate(invalid="ignore"):
         caps = [(score(alpha, float(tables[top][alpha]) * (1.0 + _BOUND_SLACK)), alpha)

@@ -88,29 +88,17 @@ def _etd_weights(grid: GridSpec, s: float, h: float) -> tuple:
     return np.exp(z), h * phi1(z), h * phi2(z)
 
 
-# the key of the last coefficient dealiased and its dealiased physical
-# values; the key is a time-independent field itself, or else a copy of the
-# samples compared by content, so a hit left by any earlier caller yields the
-# same values
+# a copy of the last samples of a and their dealiased physical values; keyed
+# on content, so a hit left by any earlier caller yields the same values
 _last_a = [None, None]
 
 
-def _dealiased_a(grid: GridSpec, a, t: float) -> np.ndarray:
-    """Physical values of dealias(a(t)).  A time-independent field is
-    sampled only when it is not the last one dealiased; any other is
-    sampled, and recomputed only when its samples change."""
+def _dealiased_a(grid: GridSpec, a_samples: np.ndarray) -> np.ndarray:
+    """Physical values of dealias(a), recomputed only when the samples change."""
     last, a_phys = _last_a
-    if a.time_independent:
-        if last is a:
-            return a_phys
-        key, samples = a, a.sample(t)
-    else:
-        samples = a.sample(t)
-        if isinstance(last, np.ndarray) and np.array_equal(last, samples):
-            return a_phys
-        key = np.array(samples)
-    a_phys = np.fft.ifftn(np.fft.fftn(samples) * grid.dealias_mask)
-    _last_a[:] = key, a_phys
+    if last is None or not np.array_equal(last, a_samples):
+        a_phys = np.fft.ifftn(np.fft.fftn(a_samples) * grid.dealias_mask)
+        _last_a[:] = np.array(a_samples), a_phys
     return a_phys
 
 
@@ -157,11 +145,11 @@ def step(
     grid = u.grid
     semigroup, w1, w2 = _etd_weights(grid, s, dt)
     n0, predictor, work = _workspace(u.coeffs.shape)
-    _product_term(grid, _dealiased_a(grid, a, t), u.coeffs, out=n0)
+    _product_term(grid, _dealiased_a(grid, a.sample(t)), u.coeffs, out=n0)
     np.multiply(semigroup, u.coeffs, out=predictor)
     np.multiply(w1, n0, out=work)
     predictor += work
-    n1 = _product_term(grid, _dealiased_a(grid, a, t + dt), predictor, out=work)
+    n1 = _product_term(grid, _dealiased_a(grid, a.sample(t + dt)), predictor, out=work)
     n1 -= n0  # the state is predictor + w2 * (n1 - n0)
     np.multiply(w2, n1, out=n1)
     return u.with_coeffs(predictor + n1)
@@ -299,10 +287,7 @@ class CertificateReport:
 
 
 def _sup_coeff(a, times) -> float:
-    """The largest |a(t, x)| over the grid at the given times; a
-    time-independent field is sampled at the first only."""
-    if a.time_independent:
-        times = times[:1]
+    """The largest |a(t, x)| over the grid at the given times."""
     return max(float(np.max(np.abs(a.sample(t)))) for t in times)
 
 

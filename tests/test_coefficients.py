@@ -341,7 +341,7 @@ def test_l1_bounds_cover_every_sup(grid):
     """On random real samples every derivative sup up to order 12 is at most
     its l1 bound, and the half-spectrum table equals the full-spectrum sum."""
     samples = np.random.default_rng(grid.n + grid.dim).standard_normal(grid.shape)
-    # any measurement of the samples keeps their half-spectrum modulus
+    # any measurement of the samples keeps their half spectrum
     coefficients._worst(grid, samples, [(0,) * grid.dim], lambda alpha, sup: sup)
     table = coefficients._l1_table(grid, coefficients._measured[0][3], 12)
     alphas = _multi_indices(grid.dim, 12)

@@ -7,7 +7,6 @@ convergence-order measurements, which run here at small scale (the
 acceptance suite repeats them on the contract grid).
 """
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -276,38 +275,6 @@ def test_in_place_refilled_evaluator_is_redealiased():
     traj = simulate(u0, a, 1.5, 0.2, 0.02)
     expect = _oracle_states(u0, a, 1.5, 0.2, 0.02)
     assert np.array_equal(traj.final_state.coeffs, expect[-1].coeffs)
-
-
-def test_time_independent_field_is_sampled_once_per_run():
-    """A 200-step simulate and its energy certificate sample a
-    time-independent field at most twice, with the same bits as the same
-    field sampled at every step; time_cosine is still sampled every step."""
-    g = GridSpec(1, 32, 2 * np.pi)
-    u0 = random_band_limited(g, make_generator(58, "sample-count"), band=6.0)
-    times = []
-
-    def counted(field, **changes):
-        def evaluate(t):
-            times.append(t)
-            return field.evaluator(t)
-        return dataclasses.replace(field, evaluator=evaluate, **changes)
-
-    def run(a):
-        times.clear()
-        traj = simulate(u0, a, 1.5, 1.0, 0.005, record_every=20)
-        return traj, energy_certificate(traj, a), len(times)
-
-    cosine = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
-    assert cosine.time_independent
-    traj, cert, samples = run(counted(cosine))
-    assert samples <= 2
-    every_step, every_cert, samples = run(counted(cosine, time_independent=False))
-    assert samples > 400
-    assert np.array_equal(traj.final_state.coeffs, every_step.final_state.coeffs)
-    assert cert == every_cert
-    time_cosine = builtin_coefficient("time_cosine", g, amplitude=0.5, mode=1)
-    assert not time_cosine.time_independent
-    assert run(counted(time_cosine))[2] > 400
 
 
 def test_phi_weights_built_once_per_step_size(monkeypatch):
