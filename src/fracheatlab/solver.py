@@ -13,9 +13,10 @@ before and after, so quadratic aliasing never reaches retained modes.
 A state may be a batch of fields on a leading member axis; every member
 is advanced by the same transforms.  The weights are built once per
 (grid, s, step size), and the dealiased physical coefficient is reused
-for as long as a(t, .) samples to the same values.  The product terms are
-formed in a workspace kept per state shape, so a step allocates only the
-state it returns.
+within a run while a(t, .) samples to the same values.  The product terms
+are formed in a workspace kept per state shape, so a step allocates only
+the state it returns, and transformed in place by numpy's FFT kernels,
+bound once per grid.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _etd_weights(grid: GridSpec, s: float, h: float) -> tuple:
     return np.exp(z), h * phi1(z), h * phi2(z)
 
 
-# a copy of the last samples of a and their dealiased physical values; keyed
-# on content, so a hit left by any earlier caller yields the same values
+# a copy of the last samples of a and their dealiased physical values, cleared
+# by simulate; keyed on content, so any earlier caller's hit is still right
 _last_a = [None, None]
 
 
@@ -114,18 +115,38 @@ def _workspace(shape: tuple) -> tuple:
     return _work[1]
 
 
+@functools.lru_cache(maxsize=8)
+def _transforms(grid: GridSpec) -> tuple:
+    """In-place transforms bit-identical to np.fft.fftn and ifftn over the
+    grid's axes: the pocketfft kernels those run, one pass per axis, last axis
+    first, factor 1 forward and 1/n inverse, bound once per grid."""
+    from numpy.fft import _pocketfft_umath as kernels
+
+    passes = [([(ax,), (), (ax,)], 1 / n) for ax, n in zip(grid.axes, grid.shape)][::-1]
+
+    def forward(x):
+        for axes, _ in passes:
+            kernels.fft(x, 1, axes=axes, out=x)
+
+    def inverse(x):
+        for axes, inv_n in passes:
+            kernels.ifft(x, inv_n, axes=axes, out=x)
+
+    return forward, inverse
+
+
 def _product_term(
     grid: GridSpec, a_phys: np.ndarray, coeffs: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Spectral coefficients of dealias(a) * dealias(u), dealiased again,
     computed in ``out``; each operand order is kept, since a complex
-    product's rounding depends on it.  The transforms are given their shape,
-    so numpy does not infer it on every call."""
+    product's rounding depends on it."""
+    forward, inverse = _transforms(grid)
     mask = grid.dealias_mask
     np.multiply(coeffs, mask, out=out)
-    np.fft.ifftn(out, s=grid.shape, axes=grid.axes, out=out)
+    inverse(out)
     np.multiply(a_phys, out, out=out)
-    np.fft.fftn(out, s=grid.shape, axes=grid.axes, out=out)
+    forward(out)
     return np.multiply(out, mask, out=out)
 
 
@@ -143,6 +164,8 @@ def step(
     if not s > 1:
         raise ValueError(f"s must exceed 1, got {s}")
     grid = u.grid
+    if a.grid != grid:
+        raise ValueError(f"the coefficient's grid {a.grid} is not the state's grid {grid}")
     semigroup, w1, w2 = _etd_weights(grid, s, dt)
     n0, predictor, work = _workspace(u.coeffs.shape)
     _product_term(grid, _dealiased_a(grid, a.sample(t)), u.coeffs, out=n0)
@@ -252,7 +275,8 @@ def simulate(
     n_full, remainder = _step_schedule(T, dt)
     total_steps = n_full + (1 if remainder > 0 else 0)
 
-    _etd_weights.cache_clear()  # weights never outlive the run that built them
+    _etd_weights.cache_clear()  # weights and dealiased a never outlive their run
+    _last_a[:] = None, None
     u = u0
     record(0.0, u)
     for j in range(total_steps):

@@ -435,3 +435,66 @@ def test_interleaved_shapes_equal_separate_runs(scheme):
         traj = simulate(u0, a, 1.5, 0.2, 0.02)  # ten equal steps
         for got, want in zip(states, traj.states, strict=True):
             assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 256), (2, 16), (2, 64)])
+def test_bound_transforms_equal_numpy_fftn_bit_for_bit(dim, n, batched):
+    # the product term's transforms are numpy's private pocketfft kernels; a
+    # numpy release that moves or changes them must fail here, not drift
+    g = GridSpec(dim, n, 2 * np.pi)
+    rng = make_generator(58, "kernels", dim * 1000 + n)
+    shape = ((3,) if batched else ()) + g.shape
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    forward, inverse = solver._transforms(g)
+    for bound, numpy_fft in ((forward, np.fft.fftn), (inverse, np.fft.ifftn)):
+        work = x.copy()
+        bound(work)
+        want = numpy_fft(x, axes=g.axes)
+        assert np.array_equal(work.view(np.uint64), want.view(np.uint64))
+
+
+def test_each_simulate_dealiases_its_coefficient(monkeypatch):
+    # the dealiased coefficient lives for one run: a second run with equal
+    # samples transforms them again rather than reusing the first run's
+    g = GridSpec(1, 32, 2 * np.pi)
+    a = builtin_coefficient("cosine", g, amplitude=0.5, mode=1)
+    u0 = make_ensemble(g, 2, seed=59)
+    inputs = {"fftn": [], "ifftn": []}
+
+    def recording(name, fn):
+        def wrapped(x, *args, **kwargs):
+            inputs[name].append(np.array(x))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    for name in inputs:
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+    for _ in range(2):
+        for calls in inputs.values():
+            calls.clear()
+        simulate(u0, a, 1.5, 0.1, 0.02)
+        assert any(np.array_equal(x, a.sample(0.0)) for x in inputs["fftn"])
+        assert inputs["ifftn"]
+
+
+@pytest.mark.parametrize("state_grid,coeff_grid", [
+    (GridSpec(2, 16, 2 * np.pi), GridSpec(1, 16, 2 * np.pi)),  # would broadcast
+    (GridSpec(1, 32, 2 * np.pi), GridSpec(1, 32, 4 * np.pi)),  # would integrate
+    (GridSpec(1, 32, 2 * np.pi), GridSpec(1, 64, 2 * np.pi)),
+], ids=["dim", "period", "n"])
+def test_coefficient_on_another_grid_is_refused(state_grid, coeff_grid):
+    sampled = []
+    cosine = builtin_coefficient("cosine", coeff_grid, amplitude=0.5, mode=1)
+
+    def recording(t):
+        sampled.append(t)
+        return cosine.sample(t)
+
+    a = CoefficientField(coeff_grid, recording)
+    u = single_mode(state_grid, (1,) * state_grid.dim)
+    for run in (lambda: step(u, a, 1.5, 0.0, 0.01), lambda: simulate(u, a, 1.5, 0.1, 0.01)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert repr(state_grid) in str(exc.value) and repr(coeff_grid) in str(exc.value)
+    assert sampled == []
